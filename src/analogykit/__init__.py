@@ -64,12 +64,9 @@ from .scoring import (
     DEFAULT_EPSILON,
     METHODS,
     AnalogyQuery,
-    cosine,
     exemplar_offset,
     rank_candidates,
-    ranking_positions,
     score_candidates,
-    top_candidate,
 )
 
 __version__ = "0.1.0"
@@ -103,7 +100,6 @@ __all__ = [
     "choose_representative_term",
     "combine_pairs",
     "compose_term",
-    "cosine",
     "evaluate_records",
     "exemplar_offset",
     "format_summary_table",
@@ -116,7 +112,6 @@ __all__ = [
     "normalize_term",
     "one_to_one_instances",
     "rank_candidates",
-    "ranking_positions",
     "reciprocal_rank",
     "sample_and_bundle",
     "save_dataset",
@@ -125,7 +120,6 @@ __all__ = [
     "select_relations",
     "summarize",
     "term_key",
-    "top_candidate",
     "write_outcomes_csv",
     "write_summary_csv",
 ]

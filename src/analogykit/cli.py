@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="map cosines to (cos+1)/2 inside cosmul")
     p_eval.add_argument("--no-normalize", action="store_true",
                         help="keep composed query vectors at their raw length")
-    p_eval.add_argument("--workers", type=int, default=1)
+    p_eval.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; must be >= 1 and has no effect")
     p_eval.add_argument("--block-size", type=int, default=None,
                         help="score candidates in blocks of this many rows")
     p_eval.add_argument("--out-table", help="also write the text table to this file")

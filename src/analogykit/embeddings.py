@@ -142,7 +142,7 @@ class CandidateIndex:
 
     Lookup goes through :func:`term_key`, so surfaces that normalize to the
     same form resolve to the same entry (first occurrence wins).  Immutable
-    after construction; scoring may share one index across threads.
+    after construction.
     """
 
     def __init__(self, surfaces: list[str], matrix: np.ndarray, n_discarded: int = 0):

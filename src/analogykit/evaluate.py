@@ -14,15 +14,12 @@ set its exit status accordingly.  A question whose listed answers are all
 missing from the candidate index is still scored: it counts a miss with
 average precision and reciprocal rank 0.0, and a warning is logged.
 
-Scoring runs on a thread pool.  Each task is a pure function of one
-prepared query and the shared read-only index, and results are assembled
-in dataset order, so reports are byte-identical for any worker count.
+Records are evaluated one after another, and outcomes keep dataset order.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +37,8 @@ from .scoring import (
     DEFAULT_EPSILON,
     METHODS,
     AnalogyQuery,
-    rank_candidates,
-    ranking_positions,
+    rank_answers,
     score_candidates,
-    top_candidate,
 )
 
 logger = logging.getLogger(__name__)
@@ -79,14 +74,6 @@ class _SkipQuery(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    record: AnalogyRecord
-    query: AnalogyQuery
-    answer_indices: tuple[int, ...]
-    excluded: frozenset[int]
-
-
 def _compose_query_vector(term: str, emb: EmbeddingMatrix, normalize: bool) -> np.ndarray:
     composed = compose_term(term, emb)
     if composed.vector is None:
@@ -100,24 +87,26 @@ def _compose_query_vector(term: str, emb: EmbeddingMatrix, normalize: bool) -> n
     return vec
 
 
-def _prepare(
+def _evaluate_one(
     record: AnalogyRecord,
     setting: str,
     emb: EmbeddingMatrix,
     index: CandidateIndex,
+    method: str,
+    epsilon: float,
+    shift: bool,
     normalize: bool,
-) -> _Prepared:
+    block_size: int | None,
+) -> QueryOutcome:
     reduced = apply_setting(record, setting)
     a_vec = _compose_query_vector(reduced.a, emb, normalize)
     b_rows = np.vstack([_compose_query_vector(b, emb, normalize) for b in reduced.b_list])
     c_vec = _compose_query_vector(reduced.c, emb, normalize)
 
-    seen: set[int] = set()
     answer_indices: list[int] = []
     for d in reduced.d_list:
         i = index.index_of(d)
-        if i is not None and i not in seen:
-            seen.add(i)
+        if i is not None and i not in answer_indices:
             answer_indices.append(i)
     if not answer_indices:
         logger.warning(
@@ -126,48 +115,27 @@ def _prepare(
             record.c,
         )
 
-    excluded = frozenset(
+    excluded = {
         i
         for term in (reduced.a, *reduced.b_list, reduced.c)
         if (i := index.index_of(term)) is not None
-    )
-    return _Prepared(
-        record=record,
-        query=AnalogyQuery(a=a_vec, b=b_rows, c=c_vec),
-        answer_indices=tuple(answer_indices),
-        excluded=excluded,
-    )
-
-
-def _score_one(
-    prepared: _Prepared,
-    index: CandidateIndex,
-    method: str,
-    epsilon: float,
-    shift: bool,
-    block_size: int | None,
-) -> QueryOutcome:
-    scores = score_candidates(
-        index, prepared.query, method, epsilon=epsilon, shift=shift, block_size=block_size
-    )
-    order = rank_candidates(scores)
-    positions = ranking_positions(order)
-    answer_positions = [int(positions[i]) + 1 for i in prepared.answer_indices]
+    }
+    query = AnalogyQuery(a=a_vec, b=b_rows, c=c_vec)
+    scores = score_candidates(index, query, method, epsilon=epsilon, shift=shift, block_size=block_size)
     try:
-        top = top_candidate(order, set(prepared.excluded))
+        answer_positions, top = rank_answers(scores, answer_indices, excluded)
     except ValueError:
         raise _SkipQuery("every candidate is excluded") from None
-    record = prepared.record
     return QueryOutcome(
         relation_id=record.relation_id,
         a=record.a,
         c=record.c,
         top_guess=index.surfaces[top],
-        relaxed_hit=top in set(prepared.answer_indices),
+        relaxed_hit=top in answer_indices,
         average_precision=average_precision(answer_positions),
         reciprocal_rank=reciprocal_rank(answer_positions),
         n_answers_listed=len(record.d_list),
-        n_answers_scored=len(prepared.answer_indices),
+        n_answers_scored=len(answer_indices),
     )
 
 
@@ -189,6 +157,8 @@ def evaluate_records(
     ``normalize_queries`` controls whether each composed query vector is
     scaled to unit length before entering the scoring formulas.  Candidate
     vectors are always unit length by construction of the index.
+    ``workers`` is accepted for compatibility and must be at least 1; it has
+    no effect, since records are always evaluated sequentially.
     """
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
@@ -201,36 +171,17 @@ def evaluate_records(
     if emb.dim != index.dim:
         raise ValueError(f"embedding dimension {emb.dim} != candidate index dimension {index.dim}")
 
-    staged: list[_Prepared | SkippedQuery] = []
-    for record in records:
-        try:
-            staged.append(_prepare(record, setting, emb, index, normalize_queries))
-        except _SkipQuery as skip:
-            staged.append(SkippedQuery(record.relation_id, record.a, record.c, skip.reason))
-
-    results: dict[int, QueryOutcome | SkippedQuery] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (i, pool.submit(_score_one, item, index, method, epsilon, shift, block_size))
-            for i, item in enumerate(staged)
-            if isinstance(item, _Prepared)
-        ]
-        for i, future in futures:
-            try:
-                results[i] = future.result()
-            except _SkipQuery as skip:
-                record = records[i]
-                results[i] = SkippedQuery(record.relation_id, record.a, record.c, skip.reason)
-
     outcomes: list[QueryOutcome] = []
     skipped: list[SkippedQuery] = []
-    for i, item in enumerate(staged):
-        final = results.get(i, item)
-        if isinstance(final, QueryOutcome):
-            outcomes.append(final)
-        else:
-            assert isinstance(final, SkippedQuery)
-            skipped.append(final)
+    for record in records:
+        try:
+            outcomes.append(
+                _evaluate_one(
+                    record, setting, emb, index, method, epsilon, shift, normalize_queries, block_size
+                )
+            )
+        except _SkipQuery as skip:
+            skipped.append(SkippedQuery(record.relation_id, record.a, record.c, skip.reason))
 
     if skipped:
         logger.warning("skipped %d of %d analogy questions", len(skipped), len(records))

@@ -74,6 +74,21 @@ def write_summary_csv(summary: EvaluationSummary, path: str | Path) -> None:
         writer.writerow(["__micro__", summary.n_queries, *_repr_floats(summary.micro)])
 
 
+_OUTCOME_HEADER = [
+    "status",
+    "relation_id",
+    "a",
+    "c",
+    "top_guess",
+    "relaxed_hit",
+    "average_precision",
+    "reciprocal_rank",
+    "n_answers_listed",
+    "n_answers_scored",
+    "reason",
+]
+
+
 def write_outcomes_csv(
     outcomes: Sequence[QueryOutcome],
     skipped: Sequence[SkippedQuery],
@@ -82,21 +97,7 @@ def write_outcomes_csv(
     """Per-question audit trail: every scored and skipped analogy question."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "status",
-                "relation_id",
-                "a",
-                "c",
-                "top_guess",
-                "relaxed_hit",
-                "average_precision",
-                "reciprocal_rank",
-                "n_answers_listed",
-                "n_answers_scored",
-                "reason",
-            ]
-        )
+        writer.writerow(_OUTCOME_HEADER)
         for o in outcomes:
             writer.writerow(
                 [
@@ -115,21 +116,6 @@ def write_outcomes_csv(
             )
         for s in skipped:
             writer.writerow(["skipped", s.relation_id, s.a, s.c, "", "", "", "", "", "", s.reason])
-
-
-_OUTCOME_HEADER = [
-    "status",
-    "relation_id",
-    "a",
-    "c",
-    "top_guess",
-    "relaxed_hit",
-    "average_precision",
-    "reciprocal_rank",
-    "n_answers_listed",
-    "n_answers_scored",
-    "reason",
-]
 
 
 def load_outcomes_csv(path: str | Path) -> tuple[list[QueryOutcome], list[SkippedQuery]]:

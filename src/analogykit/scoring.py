@@ -16,18 +16,24 @@ formula is first mapped to ``(cos + 1) / 2``, keeping every factor
 non-negative for arbitrary vectors.  The other two methods take a single
 cosine, where the map would not change the ranking, and ignore the flag.
 
-All functions are pure and read-only over their inputs, so one candidate
-index can be scored from many threads at once.  ``block_size`` bounds how
-many candidate rows are materialized per intermediate (the ``pairdist``
-difference matrix is the large one); results do not depend on it beyond
-float round-off.
+Scores need not be finite.  Unshifted cosmul divides by
+``cos(d, a) + epsilon``, which is exactly zero when ``cos(d, a) == -epsilon``:
+the candidate then scores ``+inf`` or ``-inf`` by the sign of its
+numerator, or NaN when the numerator is zero too, and no error is raised.
+Ranking places ``+inf`` first, then finite scores, then ``-inf``, then
+NaN; ties, including ``0.0`` against ``-0.0`` and between NaNs, go to the
+lower index.  This is the order of a stable sort on the negated scores.
+
+``block_size`` bounds how many candidate rows are materialized per
+intermediate (the ``pairdist`` difference matrix is the large one); results
+do not depend on it beyond float round-off.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -37,15 +43,6 @@ logger = logging.getLogger(__name__)
 
 METHODS = ("cosadd", "pairdist", "cosmul")
 DEFAULT_EPSILON = 0.001
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity with the ``cos(x, 0) = 0`` convention."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
 
 
 def exemplar_offset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,9 +139,9 @@ def rank_candidates(scores: np.ndarray, exclusions: set[int] | None = None) -> n
     """Candidate indices by descending score, ties broken by ascending index.
 
     The stable sort over negated scores realizes the tie-break exactly, so
-    rankings are reproducible across runs and worker counts.  When
-    ``exclusions`` is given those indices are removed from the returned
-    order; removing every candidate is an error.
+    rankings are reproducible across runs.  When ``exclusions`` is given
+    those indices are removed from the returned order; removing every
+    candidate is an error.
     """
     order = np.argsort(-scores, kind="stable")
     if not exclusions:
@@ -155,17 +152,36 @@ def rank_candidates(scores: np.ndarray, exclusions: set[int] | None = None) -> n
     return kept
 
 
-def ranking_positions(order: np.ndarray) -> np.ndarray:
-    """Inverse permutation: ``positions[i]`` is the 0-based rank of candidate ``i``."""
-    positions = np.empty(order.shape[0], dtype=np.int64)
-    positions[order] = np.arange(order.shape[0])
-    return positions
+def rank_answers(
+    scores: np.ndarray, answers: Sequence[int], excluded: Collection[int] = ()
+) -> tuple[list[int], int]:
+    """1-based positions of ``answers`` in the full ranking, and the top guess.
 
+    Positions count every candidate, excluded or not; the top guess is the
+    best-ranked candidate outside ``excluded``.  Both follow the order of
+    :func:`rank_candidates` without sorting: candidate ``i`` sits at
+    ``#(s > s_i) + #(s == s_i, j < i) + 1``, and NaN scores come after all
+    others.  Excluding every candidate is an error.
+    """
+    nan = np.isnan(scores)
+    n_ordered = scores.shape[0] - int(np.count_nonzero(nan))
+    positions = []
+    for i in answers:
+        s_i = scores[i]
+        if nan[i]:
+            ahead = n_ordered + np.count_nonzero(nan[:i])
+        else:
+            ahead = np.count_nonzero(scores > s_i) + np.count_nonzero(scores[:i] == s_i)
+        positions.append(int(ahead) + 1)
 
-def top_candidate(order: np.ndarray, excluded: set[int]) -> int:
-    """First candidate in ranking order whose index is not excluded."""
-    for idx in order:
-        i = int(idx)
-        if i not in excluded:
-            return i
-    raise ValueError("every candidate is excluded; cannot pick a top guess")
+    kept = np.ones(scores.shape[0], dtype=bool)
+    kept[list(excluded)] = False
+    ordered = kept & ~nan
+    if ordered.any():
+        best = np.max(scores, where=ordered, initial=-np.inf)
+        top = int(np.argmax(ordered & (scores == best)))
+    elif kept.any():
+        top = int(np.argmax(kept))
+    else:
+        raise ValueError("every candidate is excluded; cannot pick a top guess")
+    return positions, top

@@ -7,6 +7,7 @@ from analogykit.dataset import AnalogyRecord
 from analogykit.embeddings import EmbeddingMatrix, build_candidate_index
 from analogykit.evaluate import evaluate_records
 from analogykit.metrics import MetricBundle
+from analogykit.scoring import DEFAULT_EPSILON
 
 
 def record(a: str, b: tuple[str, ...], c: str, d: tuple[str, ...], rid: str = "R") -> AnalogyRecord:
@@ -156,6 +157,28 @@ def test_every_candidate_excluded_becomes_a_skip():
     (skip,) = result.skipped
     assert skip.reason == "every candidate is excluded"
     assert result.summary is None
+
+
+def test_cosmul_zero_denominator_ranks_inf_first_by_index():
+    # cos(d, a) == -epsilon exactly, so unshifted cosmul divides d's score by 0.0
+    d = [-0.001, np.sqrt(1.0 - 1e-6)]
+    emb = EmbeddingMatrix(
+        ["a", "b", "c", "d", "e", "f"],
+        np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], d, [0.8, 0.6], d]),
+    )
+    index = build_candidate_index(["a", "b", "c", "f", "d", "e"], emb)
+    d_row, a_row = index.matrix[index.index_of("d")], index.matrix[index.index_of("a")]
+    assert d_row @ a_row + DEFAULT_EPSILON == 0.0
+    records = [record("a", ("b",), "c", ("d", "e"))]
+    result = evaluate_records(records, emb, index, setting="multi", method="cosmul")
+    assert result.skipped == ()
+    (outcome,) = result.outcomes
+    # f and d both score +inf, ahead of b (800), c (1.33), e (0.72) and a (0):
+    # f wins the tie by its lower index, so d sits at 2 and e at 5
+    assert outcome.top_guess == "f"
+    assert outcome.relaxed_hit is False
+    assert outcome.reciprocal_rank == 0.5
+    assert outcome.average_precision == (1 / 2 + 2 / 5) / 2
 
 
 def test_query_normalization_flag_changes_rankings():

@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from analogykit.embeddings import CandidateIndex
 from analogykit.scoring import (
     AnalogyQuery,
     exemplar_offset,
+    rank_answers,
     rank_candidates,
-    ranking_positions,
     score_candidates,
-    top_candidate,
 )
 
 
@@ -118,8 +119,7 @@ def test_royal_fixture_top_guess_after_exclusion():
     index = CandidateIndex(["man", "queen", "king", "woman"], matrix)
     query = AnalogyQuery(a=matrix[0], b=matrix[3][None, :], c=matrix[2])
     for method in ("cosadd", "pairdist", "cosmul"):
-        order = rank_candidates(score_candidates(index, query, method))
-        guess = top_candidate(order, excluded={0, 2, 3})
+        _, guess = rank_answers(score_candidates(index, query, method), [], excluded={0, 2, 3})
         assert index.surfaces[guess] == "queen", method
 
 
@@ -241,22 +241,53 @@ def test_rank_matches_sort_oracle_on_random_ties():
         assert list(rank_candidates(scores)) == expected
 
 
-def test_ranking_positions_invert_the_order():
+def test_rank_answers_positions_invert_the_order():
     scores = np.array([0.2, 0.9, 0.5, 0.9])
     order = rank_candidates(scores)
-    positions = ranking_positions(order)
-    assert np.array_equal(order[positions], np.arange(4))
-    assert positions[1] == 0  # highest score, lowest index
+    positions, _ = rank_answers(scores, range(4))
+    assert np.array_equal(order[np.array(positions) - 1], np.arange(4))
+    assert positions[1] == 1  # highest score, lowest index
 
 
-def test_top_candidate_skips_excluded_prefix():
-    order = np.array([3, 1, 0, 2])
-    assert top_candidate(order, {3, 1}) == 0
+def test_rank_answers_top_guess_skips_excluded_prefix():
+    scores = np.array([0.5, 0.8, 0.1, 0.9])
+    assert list(rank_candidates(scores)) == [3, 1, 0, 2]
+    assert rank_answers(scores, [], {3, 1})[1] == 0
 
 
-def test_top_candidate_with_everything_excluded_is_an_error():
+def test_rank_answers_with_everything_excluded_is_an_error():
     with pytest.raises(ValueError, match="every candidate is excluded"):
-        top_candidate(np.array([0, 1]), {0, 1})
+        rank_answers(np.array([0.9, 0.1]), [], {0, 1})
+
+
+_SPECIAL_SCORES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, np.inf, -np.inf, np.nan])
+
+
+@given(
+    st.lists(_SPECIAL_SCORES | st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=24)
+    .flatmap(
+        lambda values: st.tuples(
+            st.just(values),
+            st.lists(st.integers(0, len(values) - 1), unique=True),
+            st.sets(st.integers(0, len(values) - 1)),
+        )
+    )
+)
+@example(([0.5, np.nan, np.nan, -np.inf], [2, 1, 3], {0, 3}))  # only NaNs left unexcluded
+def test_rank_answers_matches_stable_argsort_oracle(case):
+    values, answers, excluded = case
+    scores = np.array(values, dtype=np.float64)
+    order = rank_candidates(scores)
+    oracle = np.empty(len(order), dtype=np.int64)
+    oracle[order] = np.arange(1, len(order) + 1)
+    unexcluded = [int(i) for i in order if int(i) not in excluded]
+    if not unexcluded:
+        with pytest.raises(ValueError, match="every candidate is excluded"):
+            rank_answers(scores, answers, excluded)
+        return
+    positions, top = rank_answers(scores, answers, excluded)
+    assert positions == [int(oracle[i]) for i in answers]
+    assert top == unexcluded[0]
 
 
 # --------------------------------------------------------------- validation
