@@ -15,9 +15,12 @@ joined by ``|``.  Blank lines and lines starting with ``#`` are skipped.
 
 from __future__ import annotations
 
+import io
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+from .textio import read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -87,28 +90,28 @@ def apply_setting(record: AnalogyRecord, setting: str) -> AnalogyRecord:
 def load_dataset(path: str | Path) -> list[AnalogyRecord]:
     path = Path(path)
     records: list[AnalogyRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise AnalogyFormatError(
-                    f"{path}:{lineno}: expected 5 tab-separated fields, found {len(fields)}"
-                )
-            relation_id, a, b_field, c, d_field = fields
-            try:
-                record = AnalogyRecord(
-                    relation_id=relation_id,
-                    a=a,
-                    b_list=tuple(b_field.split("|")),
-                    c=c,
-                    d_list=tuple(d_field.split("|")),
-                )
-            except ValueError as exc:
-                raise AnalogyFormatError(f"{path}:{lineno}: {exc}") from exc
-            records.append(record)
+    lines = io.StringIO(read_utf8(path, AnalogyFormatError), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise AnalogyFormatError(
+                f"{path}:{lineno}: expected 5 tab-separated fields, found {len(fields)}"
+            )
+        relation_id, a, b_field, c, d_field = fields
+        try:
+            record = AnalogyRecord(
+                relation_id=relation_id,
+                a=a,
+                b_list=tuple(b_field.split("|")),
+                c=c,
+                d_list=tuple(d_field.split("|")),
+            )
+        except ValueError as exc:
+            raise AnalogyFormatError(f"{path}:{lineno}: {exc}") from exc
+        records.append(record)
     if not records:
         raise AnalogyFormatError(f"{path}: no analogy records")
     logger.info("loaded %d analogy records from %s", len(records), path)

@@ -14,6 +14,13 @@ Vector file formats:
 
 Tokens may not contain whitespace; multi-word terms are handled by
 composition (:func:`compose_term`), not by the token vocabulary.
+
+Text values are separated by runs of whitespace (``str.split``) and follow
+Python's ``float`` grammar restricted to ASCII characters without ``_``:
+signs, decimal points, exponents and the ``nan``/``inf``/``infinity``
+spellings in any case are accepted; digit-group underscores (``1_0``),
+full-width digits (``１``) and other non-ASCII digits (``٣``) are parse
+errors.  Every vector must be finite and have a non-zero norm.
 """
 
 from __future__ import annotations
@@ -23,8 +30,11 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
+
+from .textio import read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -35,40 +45,53 @@ class EmbeddingParseError(ValueError):
     """A vector file violates its declared format."""
 
 
+def _check_token(tok: str) -> None:
+    if not tok or tok.split() != [tok]:
+        raise ValueError(f"invalid token {tok!r}: tokens must be non-empty and contain no whitespace")
+
+
 def _validate_tokens(tokens: list[str]) -> None:
     seen: set[str] = set()
     for tok in tokens:
-        if not tok or tok.split() != [tok]:
-            raise ValueError(f"invalid token {tok!r}: tokens must be non-empty and contain no whitespace")
+        _check_token(tok)
         if tok in seen:
             raise ValueError(f"duplicate token {tok!r}")
         seen.add(tok)
 
 
+def _adopt(cls, *args):
+    """Build ``cls`` around arrays made in this module, without the copy ``__init__`` takes."""
+    obj = cls.__new__(cls)
+    obj._init(*args)
+    return obj
+
+
 class EmbeddingMatrix:
     """Dense token vectors plus a token -> row mapping.
 
-    Immutable after construction (the vector array is marked read-only) and
-    safe to share across concurrent readers.
+    Immutable after construction: the vector array is marked read-only.
     """
 
     def __init__(self, tokens: list[str], vectors: np.ndarray):
-        vectors = np.array(vectors, dtype=np.float64)
+        self._init(list(tokens), np.array(vectors, dtype=np.float64))
+
+    def _init(self, tokens: list[str], vectors: np.ndarray) -> None:
         if vectors.ndim != 2 or vectors.shape[1] < 1:
             raise ValueError("vectors must be a 2-d array with at least one column")
         if len(tokens) != vectors.shape[0]:
             raise ValueError(f"{len(tokens)} tokens but {vectors.shape[0]} vectors")
         if vectors.shape[0] == 0:
             raise ValueError("embedding matrix must contain at least one token")
-        _validate_tokens(list(tokens))
+        _validate_tokens(tokens)
         if not np.isfinite(vectors).all():
             raise ValueError("embedding vectors must be finite")
-        if (np.linalg.norm(vectors, axis=1) == 0.0).any():
+        # einsum sums the squares without a temporary the size of the matrix.
+        if (np.einsum("ij,ij->i", vectors, vectors) == 0.0).any():
             raise ValueError("zero vectors are not allowed")
         vectors.flags.writeable = False
-        self.tokens: list[str] = list(tokens)
+        self.tokens: list[str] = tokens
         self.vectors: np.ndarray = vectors
-        self._row: dict[str, int] = {tok: i for i, tok in enumerate(self.tokens)}
+        self._row: dict[str, int] = {tok: i for i, tok in enumerate(tokens)}
 
     @property
     def dim(self) -> int:
@@ -85,11 +108,6 @@ class EmbeddingMatrix:
 
     def vector(self, token: str) -> np.ndarray:
         return self.vectors[self._row[token]]
-
-    def normalize(self) -> "EmbeddingMatrix":
-        """Return a copy whose rows all have unit L2 norm."""
-        norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
-        return EmbeddingMatrix(self.tokens, self.vectors / norms)
 
 
 @lru_cache(maxsize=8192)
@@ -146,21 +164,25 @@ class CandidateIndex:
     """
 
     def __init__(self, surfaces: list[str], matrix: np.ndarray, n_discarded: int = 0):
-        matrix = np.array(matrix, dtype=np.float64)
+        surfaces = list(surfaces)
+        keys = [term_key(surface) for surface in surfaces]
+        self._init(surfaces, np.array(matrix, dtype=np.float64), n_discarded, keys)
+
+    def _init(self, surfaces: list[str], matrix: np.ndarray, n_discarded: int, keys: list[str]) -> None:
         if matrix.ndim != 2 or matrix.shape[0] != len(surfaces):
             raise ValueError("matrix must have one row per surface")
         if len(surfaces) == 0:
             raise ValueError("candidate index is empty: evaluation is impossible")
-        norms = np.linalg.norm(matrix, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         if np.abs(norms - 1.0).max() > 1e-6:
             raise ValueError("candidate vectors must be unit-normalized")
         matrix.flags.writeable = False
-        self.surfaces: list[str] = list(surfaces)
+        self.surfaces: list[str] = surfaces
         self.matrix: np.ndarray = matrix
         self.n_discarded: int = n_discarded
         self._key_to_index: dict[str, int] = {}
-        for i, surface in enumerate(self.surfaces):
-            self._key_to_index.setdefault(term_key(surface), i)
+        for i, key in enumerate(keys):
+            self._key_to_index.setdefault(key, i)
 
     @property
     def dim(self) -> int:
@@ -182,41 +204,60 @@ def build_candidate_index(terms: list[str], emb: EmbeddingMatrix) -> CandidateIn
     Terms whose component words are all out of vocabulary are discarded and
     counted in ``n_discarded``.  Duplicate surfaces (after term
     normalization) collapse to their first occurrence.  Kept entries
-    preserve input order and are L2-normalized.
+    preserve input order and are L2-normalized.  Each row equals
+    :func:`compose_term`'s vector divided by its ``np.linalg.norm``, bit for
+    bit; only terms with several in-vocabulary words are averaged.
     """
     surfaces: list[str] = []
-    rows: list[np.ndarray] = []
+    keys: list[str] = []
+    word_rows: list[list[int]] = []
     seen: set[str] = set()
     n_discarded = 0
     for term in terms:
-        key = term_key(term)
+        words = normalize_term(term)
+        key = " ".join(words)
         if key in seen:
             continue
         seen.add(key)
-        composed = compose_term(term, emb)
-        if composed.vector is None:
+        rows = [emb._row[w] for w in words if w in emb._row]
+        if not rows:
             n_discarded += 1
-            continue
-        norm = np.linalg.norm(composed.vector)
-        if norm == 0.0:
-            # Component vectors cancelled exactly; the term cannot be ranked.
-            n_discarded += 1
-            logger.warning("discarding %r: composed vector is zero", term)
             continue
         surfaces.append(term)
-        rows.append(composed.vector / norm)
+        keys.append(key)
+        word_rows.append(rows)
+
+    matrix = emb.vectors[[rows[0] for rows in word_rows]]
+    # The mean of one row is 0.0 + row: -0.0 becomes 0.0, nothing else changes.
+    matrix += 0.0
+    for i, rows in enumerate(word_rows):
+        if len(rows) > 1:
+            matrix[i] = emb.vectors[rows].mean(axis=0)
+    # sqrt(v.dot(v)) is how np.linalg.norm computes a vector's norm.
+    norms = np.sqrt([row.dot(row) for row in matrix])
+    zero = norms == 0.0
+    if zero.any():
+        # Component vectors cancelled exactly; the term cannot be ranked.
+        for i in np.flatnonzero(zero):
+            logger.warning("discarding %r: composed vector is zero", surfaces[i])
+        n_discarded += int(zero.sum())
+        surfaces = [s for s, z in zip(surfaces, zero) if not z]
+        keys = [k for k, z in zip(keys, zero) if not z]
+        matrix, norms = matrix[~zero], norms[~zero]
     if not surfaces:
         raise ValueError("candidate index is empty: no term had an in-vocabulary word")
     if n_discarded:
         logger.info("discarded %d of %d candidate terms (no in-vocabulary words)", n_discarded, len(seen))
-    return CandidateIndex(surfaces, np.vstack(rows), n_discarded=n_discarded)
+    matrix /= norms[:, None]
+    return _adopt(CandidateIndex, surfaces, matrix, n_discarded, keys)
 
 
 def load_embeddings(path: str | Path, format: str = "text") -> EmbeddingMatrix:
     """Load token vectors from ``path`` in one of :data:`EMBEDDING_FORMATS`.
 
     ``format="text"`` auto-detects a missing header by attempting to parse
-    line 1 as ``<count> <dim>``.
+    line 1 as ``<count> <dim>``.  Errors are :class:`EmbeddingParseError`
+    naming the file and the first bad line (text) or byte offset (binary).
     """
     if format not in EMBEDDING_FORMATS:
         raise ValueError(f"unknown embedding format {format!r}; expected one of {EMBEDDING_FORMATS}")
@@ -237,8 +278,30 @@ def _parse_header(fields: list[str]) -> tuple[int, int] | None:
     return count, dim
 
 
+def _parse_value(field: str) -> float:
+    """``float(field)`` limited to the value grammar in the module docstring."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"could not convert string to float: {field!r}")
+    return float(field)
+
+
+def _check_values(tokens: list[str], vectors: np.ndarray, where) -> None:
+    """Raise for the first row that holds a non-finite value or has zero norm.
+
+    ``where(i)`` is the location of row ``i`` in the file.
+    """
+    non_finite = ~np.isfinite(vectors).all(axis=1)
+    # A sum of squares is zero exactly when np.linalg.norm of the row is.
+    bad = non_finite | (np.einsum("ij,ij->i", vectors, vectors) == 0.0)
+    if bad.any():
+        i = int(bad.argmax())
+        problem = "non-finite value" if non_finite[i] else "zero vector"
+        raise EmbeddingParseError(f"{where(i)}: {problem} for token {tokens[i]!r}")
+
+
 def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
-    lines = path.read_text(encoding="utf-8").splitlines()
+    """Parse all values in one ``np.loadtxt`` call; scan line by line only on a fault."""
+    lines = read_utf8(path, EmbeddingParseError).splitlines()
     if not lines:
         raise EmbeddingParseError(f"{path}: empty file")
     header = None if force_headerless else _parse_header(lines[0].split())
@@ -254,32 +317,64 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
 
     tokens: list[str] = []
     seen: set[str] = set()
-    vectors = np.empty((len(data), dim), dtype=np.float64)
+
+    def values():
+        # A ValueError here, or from np.loadtxt, sends the file to _scan_text.
+        for line in data:
+            token, rest = line.split(None, 1)  # a line without values
+            if token in seen:
+                raise ValueError("duplicate token")
+            seen.add(token)
+            tokens.append(token)
+            yield rest
+
+    def where(i: int) -> str:
+        return f"{path}:{start + i + 1}"
+
+    try:
+        vectors = np.loadtxt(values(), dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        vectors = None
+    if vectors is None or vectors.shape != (len(data), dim):
+        _scan_text(data, dim, where)
+    _check_values(tokens, vectors, where)
+    return _adopt(EmbeddingMatrix, tokens, vectors)
+
+
+def _scan_text(data: list[str], dim: int, where) -> NoReturn:
+    """Raise for the first bad line, in the order a line-by-line read meets the faults.
+
+    Runs only when the bulk parse has failed.
+    """
+    tokens: list[str] = []
+    rows: list[list[float]] = []
+    seen: set[str] = set()
     for i, line in enumerate(data):
-        lineno = start + i + 1
         fields = line.split()
         if len(fields) != dim + 1:
-            raise EmbeddingParseError(
-                f"{path}:{lineno}: expected {dim} values, found {len(fields) - 1}"
-            )
-        token = fields[0]
-        if token in seen:
-            raise EmbeddingParseError(f"{path}:{lineno}: duplicate token {token!r}")
-        seen.add(token)
-        try:
-            row = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise EmbeddingParseError(f"{path}:{lineno}: {exc}") from exc
-        if not np.isfinite(row).all():
-            raise EmbeddingParseError(f"{path}:{lineno}: non-finite value for token {token!r}")
-        if np.linalg.norm(row) == 0.0:
-            raise EmbeddingParseError(f"{path}:{lineno}: zero vector for token {token!r}")
-        tokens.append(token)
-        vectors[i] = row
-    return EmbeddingMatrix(tokens, vectors)
+            error = f"expected {dim} values, found {len(fields) - 1}"
+        elif fields[0] in seen:
+            error = f"duplicate token {fields[0]!r}"
+        else:
+            try:
+                rows.append([_parse_value(v) for v in fields[1:]])
+            except ValueError as exc:
+                error = str(exc)
+            else:
+                seen.add(fields[0])
+                tokens.append(fields[0])
+                continue
+        _check_values(tokens, np.array(rows, dtype=np.float64).reshape(-1, dim), where)
+        raise EmbeddingParseError(f"{where(i)}: {error}")
+    raise EmbeddingParseError(f"{where(0)}: rows do not parse as {len(data)} x {dim} values")
 
 
 def _load_binary(path: Path) -> EmbeddingMatrix:
+    """Scan the tokens, then convert all rows at once.
+
+    A fault stops the scan, but the rows before it are checked first, so the
+    error names the first fault in file order, as a row-by-row read would.
+    """
     blob = path.read_bytes()
     nl = blob.find(b"\n")
     if nl < 0:
@@ -291,37 +386,50 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
     row_bytes = 4 * dim
     pos = nl + 1
     tokens: list[str] = []
+    offsets: list[int] = []
     seen: set[str] = set()
-    vectors = np.empty((count, dim), dtype=np.float64)
+    error = None
     for i in range(count):
         while pos < len(blob) and blob[pos] == 0x0A:
             pos += 1
         sp = blob.find(b" ", pos)
         if sp < 0:
-            raise EmbeddingParseError(f"{path}: offset {pos}: unterminated token for vector {i}")
+            error = f"offset {pos}: unterminated token for vector {i}"
+            break
         try:
             token = blob[pos:sp].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EmbeddingParseError(f"{path}: offset {pos}: undecodable token bytes") from exc
+            _check_token(token)
+        except UnicodeDecodeError:
+            error = f"offset {pos}: undecodable token bytes"
+            break
+        except ValueError as exc:
+            error = f"offset {pos}: {exc}"
+            break
         if token in seen:
-            raise EmbeddingParseError(f"{path}: offset {pos}: duplicate token {token!r}")
+            error = f"offset {pos}: duplicate token {token!r}"
+            break
         seen.add(token)
         pos = sp + 1
         if pos + row_bytes > len(blob):
-            raise EmbeddingParseError(f"{path}: offset {pos}: truncated vector for token {token!r}")
-        row = np.frombuffer(blob, dtype="<f4", count=dim, offset=pos).astype(np.float64)
-        pos += row_bytes
-        if not np.isfinite(row).all():
-            raise EmbeddingParseError(f"{path}: offset {pos - row_bytes}: non-finite value for token {token!r}")
-        if np.linalg.norm(row) == 0.0:
-            raise EmbeddingParseError(f"{path}: offset {pos - row_bytes}: zero vector for token {token!r}")
+            error = f"offset {pos}: truncated vector for token {token!r}"
+            break
         tokens.append(token)
-        vectors[i] = row
-    while pos < len(blob) and blob[pos] == 0x0A:
-        pos += 1
-    if pos != len(blob):
-        raise EmbeddingParseError(f"{path}: offset {pos}: trailing data after {count} vectors")
-    return EmbeddingMatrix(tokens, vectors)
+        offsets.append(pos)
+        pos += row_bytes
+    else:
+        while pos < len(blob) and blob[pos] == 0x0A:
+            pos += 1
+        if pos != len(blob):
+            error = f"offset {pos}: trailing data after {count} vectors"
+
+    with memoryview(blob) as view:
+        packed = b"".join([view[o : o + row_bytes] for o in offsets])
+    del blob  # free the file bytes before the float64 copy
+    vectors = np.frombuffer(packed, dtype="<f4").reshape(len(offsets), dim).astype(np.float64)
+    _check_values(tokens, vectors, lambda i: f"{path}: offset {offsets[i]}")
+    if error is not None:
+        raise EmbeddingParseError(f"{path}: {error}")
+    return _adopt(EmbeddingMatrix, tokens, vectors)
 
 
 def save_embeddings(emb: EmbeddingMatrix, path: str | Path, format: str = "text") -> None:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +259,17 @@ def test_unknown_choices_are_rejected_by_argparse(tmp_path, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(evaluate_args(paths, flag, value))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("which", ["embeddings", "candidates", "dataset"])
+def test_evaluate_invalid_utf8_names_file_and_line(tmp_path, capsys, which):
+    paths = write_royal_inputs(tmp_path, [royal_record(), royal_record(a="woman")])
+    path = Path(paths[which])
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
+    path.write_bytes(b"".join(lines))
+    rc = main(evaluate_args(paths))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {path}:2: not valid UTF-8" in captured.err
+    assert "Traceback" not in captured.err

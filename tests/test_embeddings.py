@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -63,14 +65,6 @@ def test_lookup_and_contains(small_matrix):
     assert "zeta" not in small_matrix
     assert small_matrix.row("gamma") == 2
     assert np.array_equal(small_matrix.vector("gamma"), small_matrix.vectors[2])
-
-
-def test_normalize_produces_unit_rows(small_matrix):
-    unit = small_matrix.normalize()
-    norms = np.linalg.norm(unit.vectors, axis=1)
-    assert np.abs(norms - 1.0).max() <= 1e-6
-    # the original is untouched
-    assert not np.allclose(np.linalg.norm(small_matrix.vectors, axis=1), 1.0)
 
 
 # ------------------------------------------------------------------- file I/O
@@ -163,6 +157,43 @@ def test_binary_trailing_bytes_rejected(small_matrix, tmp_path):
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(EmbeddingParseError, match="trailing data"):
         load_embeddings(path, format="binary")
+
+
+@pytest.mark.parametrize(
+    "value", ["1_0", "\uff11", "\u0663"], ids=["underscore", "full-width", "arabic-indic"]
+)
+def test_text_value_grammar_rejects_non_ascii_numerals(tmp_path, value):
+    # float() reads all three (10.0, 1.0, 3.0); the loader's grammar does not.
+    path = tmp_path / "num.txt"
+    path.write_text(f"2 2\nfoo 1.0 2.0\nbar 3.0 {value}\n", encoding="utf-8")
+    with pytest.raises(EmbeddingParseError, match=rf"num\.txt:3: could not convert string to float: '{value}'"):
+        load_embeddings(path)
+
+
+def test_text_value_grammar_accepts_signs_exponents_and_spaces(tmp_path):
+    path = tmp_path / "num.txt"
+    path.write_text("foo\t+1.5E-3  -.5\u30005. \nbar 1e0 -0 2\n", encoding="utf-8")
+    loaded = load_embeddings(path, format="text-noheader")
+    assert loaded.tokens == ["foo", "bar"]
+    assert loaded.vectors.tolist() == [[0.0015, -0.5, 5.0], [1.0, -0.0, 2.0]]
+
+
+@pytest.mark.parametrize("token", [b"a\tb", b""], ids=["whitespace", "empty"])
+def test_binary_invalid_token_names_offset(tmp_path, token):
+    path = tmp_path / "tok.bin"
+    row = np.array([1.0, 2.0], dtype="<f4").tobytes()
+    path.write_bytes(b"2 2\nok " + row + b"\n" + token + b" " + row + b"\n")
+    offset = len(b"2 2\nok ") + len(row) + 1
+    message = f"{path}: offset {offset}: invalid token {token.decode()!r}"
+    with pytest.raises(EmbeddingParseError, match=re.escape(message)):
+        load_embeddings(path, format="binary")
+
+
+def test_text_embeddings_with_invalid_utf8_name_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"2 2\nfoo 1.0 2.0\r\nb\xffr 3.0 4.0\n")
+    with pytest.raises(EmbeddingParseError, match=r"bad\.txt:3: not valid UTF-8"):
+        load_embeddings(path)
 
 
 def test_unknown_format_rejected(tmp_path):
