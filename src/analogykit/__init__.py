@@ -15,7 +15,6 @@ from .dataset import (
     ambiguity,
     apply_setting,
     combine_pairs,
-    group_by_relation,
     load_dataset,
     save_dataset,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "format_summary_table",
     "frequent_concepts",
     "generate",
-    "group_by_relation",
     "load_dataset",
     "load_embeddings",
     "load_outcomes_csv",

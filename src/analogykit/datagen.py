@@ -23,12 +23,14 @@ frequencies ``term<TAB>count``; allowlist one relation id per line.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
 from .dataset import AnalogyRecord, ambiguity, combine_pairs
+from .textio import read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -99,15 +101,15 @@ class GenerationResult:
 def load_triples(path: str | Path) -> list[Triple]:
     path = Path(path)
     triples: list[Triple] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or not all(fields):
-                raise GenerationError(f"{path}:{lineno}: expected 3 non-empty tab-separated fields")
-            triples.append(Triple(subject=fields[0], relation=fields[1], object=fields[2]))
+    lines = io.StringIO(read_utf8(path, GenerationError), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3 or not all(fields):
+            raise GenerationError(f"{path}:{lineno}: expected 3 non-empty tab-separated fields")
+        triples.append(Triple(subject=fields[0], relation=fields[1], object=fields[2]))
     if not triples:
         raise GenerationError(f"{path}: no triples")
     return triples
@@ -117,18 +119,18 @@ def load_lexicon(path: str | Path) -> dict[str, list[str]]:
     """Concept id to ordered term list; repeated (concept, term) lines collapse."""
     path = Path(path)
     lexicon: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not all(fields):
-                raise GenerationError(f"{path}:{lineno}: expected 2 non-empty tab-separated fields")
-            concept, term = fields
-            terms = lexicon.setdefault(concept, [])
-            if term not in terms:
-                terms.append(term)
+    lines = io.StringIO(read_utf8(path, GenerationError), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not all(fields):
+            raise GenerationError(f"{path}:{lineno}: expected 2 non-empty tab-separated fields")
+        concept, term = fields
+        terms = lexicon.setdefault(concept, [])
+        if term not in terms:
+            terms.append(term)
     if not lexicon:
         raise GenerationError(f"{path}: no lexicon entries")
     return lexicon
@@ -137,31 +139,31 @@ def load_lexicon(path: str | Path) -> dict[str, list[str]]:
 def load_frequencies(path: str | Path) -> dict[str, int]:
     path = Path(path)
     freqs: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0]:
-                raise GenerationError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            term, count_str = fields
-            if term in freqs:
-                raise GenerationError(f"{path}:{lineno}: duplicate term {term!r}")
-            try:
-                count = int(count_str)
-            except ValueError as exc:
-                raise GenerationError(f"{path}:{lineno}: count {count_str!r} is not an integer") from exc
-            if count < 0:
-                raise GenerationError(f"{path}:{lineno}: negative count for {term!r}")
-            freqs[term] = count
+    lines = io.StringIO(read_utf8(path, GenerationError), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0]:
+            raise GenerationError(f"{path}:{lineno}: expected 2 tab-separated fields")
+        term, count_str = fields
+        if term in freqs:
+            raise GenerationError(f"{path}:{lineno}: duplicate term {term!r}")
+        try:
+            count = int(count_str)
+        except ValueError as exc:
+            raise GenerationError(f"{path}:{lineno}: count {count_str!r} is not an integer") from exc
+        if count < 0:
+            raise GenerationError(f"{path}:{lineno}: negative count for {term!r}")
+        freqs[term] = count
     return freqs
 
 
 def load_allowlist(path: str | Path) -> frozenset[str]:
     path = Path(path)
     ids = frozenset(
-        line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()
+        line.strip() for line in read_utf8(path, GenerationError).splitlines() if line.strip()
     )
     return ids
 

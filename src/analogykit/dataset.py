@@ -129,14 +129,6 @@ def save_dataset(records: list[AnalogyRecord], path: str | Path) -> None:
             )
 
 
-def group_by_relation(records: list[AnalogyRecord]) -> dict[str, list[AnalogyRecord]]:
-    """Group records by relation id, preserving first-seen relation order."""
-    groups: dict[str, list[AnalogyRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.relation_id, []).append(rec)
-    return groups
-
-
 def combine_pairs(
     relation_id: str, pairs: list[tuple[str, tuple[str, ...]]]
 ) -> list[AnalogyRecord]:

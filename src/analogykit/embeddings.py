@@ -20,7 +20,8 @@ Python's ``float`` grammar restricted to ASCII characters without ``_``:
 signs, decimal points, exponents and the ``nan``/``inf``/``infinity``
 spellings in any case are accepted; digit-group underscores (``1_0``),
 full-width digits (``１``) and other non-ASCII digits (``٣``) are parse
-errors.  Every vector must be finite and have a non-zero norm.
+errors.  Every vector must be finite and have a non-zero norm, and its sum
+of squares must not overflow float64 (about 1.8e308).
 """
 
 from __future__ import annotations
@@ -86,8 +87,11 @@ class EmbeddingMatrix:
         if not np.isfinite(vectors).all():
             raise ValueError("embedding vectors must be finite")
         # einsum sums the squares without a temporary the size of the matrix.
-        if (np.einsum("ij,ij->i", vectors, vectors) == 0.0).any():
+        squares = np.einsum("ij,ij->i", vectors, vectors)
+        if (squares == 0.0).any():
             raise ValueError("zero vectors are not allowed")
+        if (squares == np.inf).any():
+            raise ValueError("vector norms must not overflow float64")
         vectors.flags.writeable = False
         self.tokens: list[str] = tokens
         self.vectors: np.ndarray = vectors
@@ -286,16 +290,24 @@ def _parse_value(field: str) -> float:
 
 
 def _check_values(tokens: list[str], vectors: np.ndarray, where) -> None:
-    """Raise for the first row that holds a non-finite value or has zero norm.
+    """Raise for the first row that holds a non-finite value or whose norm is zero or overflows.
 
     ``where(i)`` is the location of row ``i`` in the file.
     """
     non_finite = ~np.isfinite(vectors).all(axis=1)
-    # A sum of squares is zero exactly when np.linalg.norm of the row is.
-    bad = non_finite | (np.einsum("ij,ij->i", vectors, vectors) == 0.0)
+    squares = np.einsum("ij,ij->i", vectors, vectors)
+    # A sum of squares is zero or inf exactly when np.linalg.norm of the row
+    # is, up to the summation order at the edge of overflow.
+    zero = squares == 0.0
+    bad = non_finite | zero | (squares == np.inf)
     if bad.any():
         i = int(bad.argmax())
-        problem = "non-finite value" if non_finite[i] else "zero vector"
+        if non_finite[i]:
+            problem = "non-finite value"
+        elif zero[i]:
+            problem = "zero vector"
+        else:
+            problem = "norm overflows float64"
         raise EmbeddingParseError(f"{where(i)}: {problem} for token {tokens[i]!r}")
 
 

@@ -9,12 +9,14 @@ endings.  Text-table floats use 4 decimal places for relation rows and
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from pathlib import Path
 from typing import Sequence
 
 from .evaluate import SkippedQuery
 from .metrics import EvaluationSummary, MetricBundle, QueryOutcome
+from .textio import read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -122,36 +124,35 @@ def load_outcomes_csv(path: str | Path) -> tuple[list[QueryOutcome], list[Skippe
     """Read back a file written by :func:`write_outcomes_csv`."""
     outcomes: list[QueryOutcome] = []
     skipped: list[SkippedQuery] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _OUTCOME_HEADER:
-            raise ValueError(f"{path}: not an outcomes file (unexpected header)")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(_OUTCOME_HEADER):
-                raise ValueError(f"{path}:{lineno}: expected {len(_OUTCOME_HEADER)} fields")
-            status = row[0]
-            try:
-                if status == "scored":
-                    if row[5] not in ("true", "false"):
-                        raise ValueError(f"bad relaxed_hit {row[5]!r}")
-                    outcomes.append(
-                        QueryOutcome(
-                            relation_id=row[1],
-                            a=row[2],
-                            c=row[3],
-                            top_guess=row[4],
-                            relaxed_hit=row[5] == "true",
-                            average_precision=float(row[6]),
-                            reciprocal_rank=float(row[7]),
-                            n_answers_listed=int(row[8]),
-                            n_answers_scored=int(row[9]),
-                        )
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    header = next(reader, None)
+    if header != _OUTCOME_HEADER:
+        raise ValueError(f"{path}: not an outcomes file (unexpected header)")
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(_OUTCOME_HEADER):
+            raise ValueError(f"{path}:{lineno}: expected {len(_OUTCOME_HEADER)} fields")
+        status = row[0]
+        try:
+            if status == "scored":
+                if row[5] not in ("true", "false"):
+                    raise ValueError(f"bad relaxed_hit {row[5]!r}")
+                outcomes.append(
+                    QueryOutcome(
+                        relation_id=row[1],
+                        a=row[2],
+                        c=row[3],
+                        top_guess=row[4],
+                        relaxed_hit=row[5] == "true",
+                        average_precision=float(row[6]),
+                        reciprocal_rank=float(row[7]),
+                        n_answers_listed=int(row[8]),
+                        n_answers_scored=int(row[9]),
                     )
-                elif status == "skipped":
-                    skipped.append(SkippedQuery(relation_id=row[1], a=row[2], c=row[3], reason=row[10]))
-                else:
-                    raise ValueError(f"unknown status {status!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+                )
+            elif status == "skipped":
+                skipped.append(SkippedQuery(relation_id=row[1], a=row[2], c=row[3], reason=row[10]))
+            else:
+                raise ValueError(f"unknown status {status!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return outcomes, skipped

@@ -261,15 +261,46 @@ def test_unknown_choices_are_rejected_by_argparse(tmp_path, flag, value):
     assert exc.value.code == 2
 
 
+def corrupt_line_two(path: Path) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
+    path.write_bytes(b"".join(lines))
+
+
 @pytest.mark.parametrize("which", ["embeddings", "candidates", "dataset"])
 def test_evaluate_invalid_utf8_names_file_and_line(tmp_path, capsys, which):
     paths = write_royal_inputs(tmp_path, [royal_record(), royal_record(a="woman")])
     path = Path(paths[which])
-    lines = path.read_bytes().splitlines(keepends=True)
-    lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
-    path.write_bytes(b"".join(lines))
+    corrupt_line_two(path)
     rc = main(evaluate_args(paths))
     captured = capsys.readouterr()
     assert rc == 1
     assert f"error: {path}:2: not valid UTF-8" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("which", ["triples", "lexicon", "frequencies", "allowlist"])
+def test_generate_invalid_utf8_names_file_and_line(tmp_path, capsys, which):
+    paths = write_generation_inputs(tmp_path)
+    paths["allowlist"] = str(tmp_path / "allow.txt")
+    Path(paths["allowlist"]).write_text("rel0\nrel0\n", encoding="utf-8")
+    path = Path(paths[which])
+    corrupt_line_two(path)
+    rc = main(generate_args(paths, tmp_path / "out", "--allowlist", paths["allowlist"]))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {path}:2: not valid UTF-8" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_report_invalid_utf8_names_file_and_line(tmp_path, capsys):
+    paths = write_royal_inputs(tmp_path, [royal_record(), royal_record(a="woman")])
+    outcomes_path = tmp_path / "outcomes.csv"
+    assert main(evaluate_args(paths, "--out-outcomes", str(outcomes_path))) == 0
+    capsys.readouterr()
+    corrupt_line_two(outcomes_path)
+    rc = main(["report", "--outcomes", str(outcomes_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {outcomes_path}:2: not valid UTF-8" in captured.err
     assert "Traceback" not in captured.err

@@ -8,7 +8,6 @@ from analogykit.dataset import (
     ambiguity,
     apply_setting,
     combine_pairs,
-    group_by_relation,
     load_dataset,
     save_dataset,
 )
@@ -136,17 +135,6 @@ def test_round_trip_preserves_every_field(tmp_path):
     path = tmp_path / "out.tsv"
     save_dataset(records, path)
     assert load_dataset(path) == records
-
-
-def test_group_by_relation_preserves_first_seen_order():
-    records = [
-        make_record(relation_id="R2"),
-        make_record(relation_id="R1"),
-        make_record(relation_id="R2", a="other subject"),
-    ]
-    groups = group_by_relation(records)
-    assert list(groups) == ["R2", "R1"]
-    assert len(groups["R2"]) == 2
 
 
 # ------------------------------------------------------------- combinations

@@ -142,6 +142,43 @@ def test_zero_vector_is_an_error(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("2 3\nok 1 2 3\nbig 1e200 1e200 1\n", 3),
+        # A parse fault after the row sends the file to the line scan, which
+        # must still name the earlier overflowing row.
+        ("3 3\nok 1 2 3\nbig 1e200 1e200 1\nbad 1 x 3\n", 3),
+        ("big -1.5e160 0 0\nok 1 2 3\n", 1),
+    ],
+)
+def test_text_norm_overflow_names_line_and_token(tmp_path, text, lineno):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    with pytest.raises(EmbeddingParseError) as caught:
+        load_embeddings(path)
+    assert str(caught.value) == f"{path}:{lineno}: norm overflows float64 for token 'big'"
+
+
+def test_norm_overflow_is_rejected_by_the_constructor():
+    with pytest.raises(ValueError, match="overflow"):
+        EmbeddingMatrix(["ok", "big"], np.array([[1.0, 2.0], [1e200, 1e200]]))
+
+
+def test_binary_rows_cannot_overflow(tmp_path):
+    # float32 components square to at most 1.2e77, so any binary row has a
+    # finite norm: the largest ones load and normalize without a warning.
+    top = float(np.finfo(np.float32).max)
+    emb = EmbeddingMatrix(["big", "small"], np.array([[top, -top, top, top], [1.0, 0.0, 0.0, 0.0]]))
+    path = tmp_path / "big.bin"
+    save_embeddings(emb, path, format="binary")
+    with np.errstate(all="raise"):
+        loaded = load_embeddings(path, format="binary")
+        index = build_candidate_index(["big", "small"], loaded)
+    assert np.array_equal(loaded.vectors, emb.vectors)
+    assert np.array_equal(index.matrix[0], np.array([0.5, -0.5, 0.5, 0.5]))
+
+
 def test_truncated_binary_names_offset(small_matrix, tmp_path):
     path = tmp_path / "trunc.bin"
     save_embeddings(small_matrix, path, format="binary")

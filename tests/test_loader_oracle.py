@@ -83,8 +83,11 @@ def oracle_load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
             raise EmbeddingParseError(f"{path}:{lineno}: {exc}") from exc
         if not np.isfinite(row).all():
             raise EmbeddingParseError(f"{path}:{lineno}: non-finite value for token {token!r}")
-        if np.linalg.norm(row) == 0.0:
+        norm = np.linalg.norm(row)
+        if norm == 0.0:
             raise EmbeddingParseError(f"{path}:{lineno}: zero vector for token {token!r}")
+        if norm == np.inf:
+            raise EmbeddingParseError(f"{path}:{lineno}: norm overflows float64 for token {token!r}")
         tokens.append(token)
         vectors[i] = row
     return EmbeddingMatrix(tokens, vectors)
@@ -129,8 +132,11 @@ def oracle_load_binary(path: Path) -> EmbeddingMatrix:
         pos += row_bytes
         if not np.isfinite(row).all():
             raise EmbeddingParseError(f"{path}: offset {pos - row_bytes}: non-finite value for token {token!r}")
-        if np.linalg.norm(row) == 0.0:
+        norm = np.linalg.norm(row)
+        if norm == 0.0:
             raise EmbeddingParseError(f"{path}: offset {pos - row_bytes}: zero vector for token {token!r}")
+        if norm == np.inf:
+            raise EmbeddingParseError(f"{path}: offset {pos - row_bytes}: norm overflows float64 for token {token!r}")
         tokens.append(token)
         vectors[i] = row
     while pos < len(blob) and blob[pos] == 0x0A:
@@ -171,7 +177,8 @@ TOKENS = st.text(
     min_size=1,
     max_size=5,
 )
-ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+# Up to 5 values of at most 1e150 cannot overflow a sum of squares.
+ANY_FLOAT = st.floats(-1e150, 1e150)
 NONZERO_FLOAT = st.floats(1e-100, 1e100) | st.floats(-1e100, -1e-100)
 ANY_FLOAT32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
 NONZERO_FLOAT32 = st.floats(2.0**-100, 2.0**100, width=32) | st.floats(-(2.0**100), -(2.0**-100), width=32)
@@ -182,6 +189,8 @@ GARBAGE = ["abc", "1e", "0x10", "--1", "1.2.3", "nan(1)", "1,5", "−1"]
 NUMERALS = ["1_0", "１", "٣", "٣.٣", "-1_000.5"]
 NON_FINITE = ["nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "1e999"]
 ZEROS = ["0", "-0", "0.0", "-0.0", "0e5", "+0", "1e-400"]
+# Finite values whose square overflows float64.
+HUGE = ["1e200", "-1.5E+160", "1.7976931348623157e308", "+2e154"]
 
 
 @st.composite
@@ -261,7 +270,7 @@ def test_binary_loader_matches_oracle_on_valid_files(tmp_path, table):
     assert assert_loaders_agree(path, "binary")
 
 
-TEXT_MUTATIONS = ["drop", "extra", "garbage", "numeral", "duplicate", "non-finite", "zero", "header"]
+TEXT_MUTATIONS = ["drop", "extra", "garbage", "numeral", "duplicate", "non-finite", "zero", "huge", "header"]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -285,6 +294,8 @@ def test_text_loader_errors_match_oracle_on_mutated_files(tmp_path, table, data)
             rows[i][j] = data.draw(st.sampled_from(NON_FINITE))
         elif kind == "zero":
             rows[i] = [data.draw(st.sampled_from(ZEROS)) for _ in rows[i]]
+        elif kind == "huge" and j < len(rows[i]):
+            rows[i][j] = data.draw(st.sampled_from(HUGE))
         elif kind == "header":
             table["format"] = "text"
             count = n + data.draw(st.sampled_from([-1, 1]))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from analogykit.embeddings import CandidateIndex
 from analogykit.scoring import (
+    _PAIRDIST_ROWS,
     AnalogyQuery,
     exemplar_offset,
     rank_answers,
@@ -192,6 +193,40 @@ def test_pairdist_candidate_equal_to_c_scores_zero():
     query = AnalogyQuery(a=index.matrix[2], b=index.matrix[3][None, :], c=index.matrix[7])
     scores = score_candidates(index, query, "pairdist")
     assert scores[7] == 0.0
+
+
+def whole_matrix_pairdist(matrix: np.ndarray, query: AnalogyQuery) -> np.ndarray:
+    """The pairdist formula over one difference matrix for all of ``matrix``."""
+    offset = exemplar_offset(query.a, query.b)
+    diff = matrix - query.c
+    diff_norms = np.linalg.norm(diff, axis=1)
+    raw = diff @ (offset / np.linalg.norm(offset))
+    return np.divide(raw, diff_norms, out=np.zeros_like(raw), where=diff_norms != 0.0)
+
+
+def test_pairdist_chunks_match_the_whole_matrix_formula():
+    assert _PAIRDIST_ROWS % 4 == 0
+    rng = np.random.default_rng(31)
+    n = 3 * _PAIRDIST_ROWS + 5
+    raw = rng.normal(size=(n, 40))
+    query = random_query(rng, 40, 2)
+    # Candidates equal to c in the first chunk, a middle chunk and the ragged last one.
+    at_c = [3, _PAIRDIST_ROWS + 17, 3 * _PAIRDIST_ROWS + 2]
+    raw[at_c] = query.c
+    index = CandidateIndex([f"cand{i}" for i in range(n)], raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    assert np.array_equal(index.matrix[at_c], np.broadcast_to(query.c, (3, 40)))
+
+    scores = score_candidates(index, query, "pairdist")
+    for start in range(0, n, _PAIRDIST_ROWS):
+        stop = min(start + _PAIRDIST_ROWS, n)
+        assert np.array_equal(scores[start:stop], whole_matrix_pairdist(index.matrix[start:stop], query))
+    assert np.abs(scores - whole_matrix_pairdist(index.matrix, query)).max() <= 1e-15
+    assert all(scores[i] == 0.0 for i in at_c)
+
+    one_chunk = CandidateIndex(index.surfaces[:_PAIRDIST_ROWS], index.matrix[:_PAIRDIST_ROWS])
+    assert np.array_equal(
+        score_candidates(one_chunk, query, "pairdist"), whole_matrix_pairdist(one_chunk.matrix, query)
+    )
 
 
 def test_shift_changes_cosmul_only():
