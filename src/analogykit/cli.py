@@ -32,14 +32,14 @@ from .reports import (
     write_summary_csv,
 )
 from .scoring import _PAIRDIST_ROWS, DEFAULT_EPSILON, METHODS
-from .textio import read_utf8
+from .textio import open_text
 
 logger = logging.getLogger(__name__)
 
 
 def _read_candidate_terms(path: str) -> list[str]:
     """One candidate term per line (terms may contain spaces); blank lines skipped."""
-    terms = [line.strip() for line in read_utf8(path).splitlines() if line.strip()]
+    terms = [line.strip() for line in open_text(path) if line.strip()]
     if not terms:
         raise ValueError(f"{path}: no candidate terms")
     return terms

@@ -23,14 +23,13 @@ frequencies ``term<TAB>count``; allowlist one relation id per line.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
 from .dataset import AnalogyRecord, ambiguity, combine_pairs
-from .textio import read_utf8
+from .textio import open_text, read_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -101,12 +100,7 @@ class GenerationResult:
 def load_triples(path: str | Path) -> list[Triple]:
     path = Path(path)
     triples: list[Triple] = []
-    lines = io.StringIO(read_utf8(path, GenerationError), newline=None)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
+    for lineno, fields in read_tsv(path, GenerationError):
         if len(fields) != 3 or not all(fields):
             raise GenerationError(f"{path}:{lineno}: expected 3 non-empty tab-separated fields")
         triples.append(Triple(subject=fields[0], relation=fields[1], object=fields[2]))
@@ -119,12 +113,7 @@ def load_lexicon(path: str | Path) -> dict[str, list[str]]:
     """Concept id to ordered term list; repeated (concept, term) lines collapse."""
     path = Path(path)
     lexicon: dict[str, list[str]] = {}
-    lines = io.StringIO(read_utf8(path, GenerationError), newline=None)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
+    for lineno, fields in read_tsv(path, GenerationError):
         if len(fields) != 2 or not all(fields):
             raise GenerationError(f"{path}:{lineno}: expected 2 non-empty tab-separated fields")
         concept, term = fields
@@ -139,12 +128,7 @@ def load_lexicon(path: str | Path) -> dict[str, list[str]]:
 def load_frequencies(path: str | Path) -> dict[str, int]:
     path = Path(path)
     freqs: dict[str, int] = {}
-    lines = io.StringIO(read_utf8(path, GenerationError), newline=None)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
+    for lineno, fields in read_tsv(path, GenerationError):
         if len(fields) != 2 or not fields[0]:
             raise GenerationError(f"{path}:{lineno}: expected 2 tab-separated fields")
         term, count_str = fields
@@ -162,10 +146,7 @@ def load_frequencies(path: str | Path) -> dict[str, int]:
 
 def load_allowlist(path: str | Path) -> frozenset[str]:
     path = Path(path)
-    ids = frozenset(
-        line.strip() for line in read_utf8(path, GenerationError).splitlines() if line.strip()
-    )
-    return ids
+    return frozenset(line.strip() for line in open_text(path, GenerationError) if line.strip())
 
 
 def frequent_concepts(

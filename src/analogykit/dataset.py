@@ -10,17 +10,18 @@ settings reduce the record before scoring:
 
 File format: one record per line, five tab-separated fields
 ``relation_id``, ``a``, ``b`` terms joined by ``|``, ``c``, ``d`` terms
-joined by ``|``.  Blank lines and lines starting with ``#`` are skipped.
+joined by ``|``.  Blank lines and lines starting with ``#`` are skipped, so
+terms hold no tab, ``|``, ``\\n`` or ``\\r`` and no relation id starts with
+``#``: every record :func:`save_dataset` writes loads back unchanged.
 """
 
 from __future__ import annotations
 
-import io
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .textio import read_utf8
+from .textio import read_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +37,7 @@ def _check_term(field: str, value: str) -> None:
         raise ValueError(f"{field} is empty")
     if value != value.strip():
         raise ValueError(f"{field} {value!r} has surrounding whitespace")
-    for forbidden in ("\t", "\n", "|"):
+    for forbidden in ("\t", "\n", "\r", "|"):
         if forbidden in value:
             raise ValueError(f"{field} {value!r} contains {forbidden!r}")
 
@@ -68,6 +69,8 @@ class AnalogyRecord:
         object.__setattr__(self, "b_list", tuple(self.b_list))
         object.__setattr__(self, "d_list", tuple(self.d_list))
         _check_term("relation_id", self.relation_id)
+        if self.relation_id.startswith("#"):
+            raise ValueError(f"relation_id {self.relation_id!r} starts with '#', which marks a comment line")
         _check_term("a", self.a)
         _check_term("c", self.c)
         _check_terms("b_list", self.b_list)
@@ -90,12 +93,9 @@ def apply_setting(record: AnalogyRecord, setting: str) -> AnalogyRecord:
 def load_dataset(path: str | Path) -> list[AnalogyRecord]:
     path = Path(path)
     records: list[AnalogyRecord] = []
-    lines = io.StringIO(read_utf8(path, AnalogyFormatError), newline=None)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.startswith("#"):
+    for lineno, fields in read_tsv(path, AnalogyFormatError):
+        if fields[0].startswith("#"):
             continue
-        fields = line.split("\t")
         if len(fields) != 5:
             raise AnalogyFormatError(
                 f"{path}:{lineno}: expected 5 tab-separated fields, found {len(fields)}"

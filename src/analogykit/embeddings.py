@@ -15,13 +15,15 @@ Vector file formats:
 Tokens may not contain whitespace; multi-word terms are handled by
 composition (:func:`compose_term`), not by the token vocabulary.
 
-Text values are separated by runs of whitespace (``str.split``) and follow
-Python's ``float`` grammar restricted to ASCII characters without ``_``:
-signs, decimal points, exponents and the ``nan``/``inf``/``infinity``
-spellings in any case are accepted; digit-group underscores (``1_0``),
-full-width digits (``１``) and other non-ASCII digits (``٣``) are parse
-errors.  Every vector must be finite and have a non-zero norm, and its sum
-of squares must not overflow float64 (about 1.8e308).
+Text tokens and values are separated by whitespace as ``str.split`` and
+``np.loadtxt`` find it, including the line boundaries, such as ``\\x85``,
+that :mod:`.textio` keeps inside a line.  Values follow Python's ``float``
+grammar restricted to ASCII characters without ``_``: signs, decimal points,
+exponents and the ``nan``/``inf``/``infinity`` spellings in any case are
+accepted; digit-group underscores (``1_0``), full-width digits (``１``) and
+other non-ASCII digits (``٣``) are parse errors.  Every vector must be finite
+and have a non-zero norm, and its sum of squares must not overflow float64
+(about 1.8e308).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .textio import read_utf8
+from .textio import open_text
 
 logger = logging.getLogger(__name__)
 
@@ -313,7 +315,7 @@ def _check_values(tokens: list[str], vectors: np.ndarray, where) -> None:
 
 def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
     """Parse all values in one ``np.loadtxt`` call; scan line by line only on a fault."""
-    lines = read_utf8(path, EmbeddingParseError).splitlines()
+    lines = list(open_text(path, EmbeddingParseError))
     if not lines:
         raise EmbeddingParseError(f"{path}: empty file")
     header = None if force_headerless else _parse_header(lines[0].split())

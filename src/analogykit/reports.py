@@ -9,14 +9,13 @@ endings.  Text-table floats use 4 decimal places for relation rows and
 from __future__ import annotations
 
 import csv
-import io
 import logging
 from pathlib import Path
 from typing import Sequence
 
 from .evaluate import SkippedQuery
 from .metrics import EvaluationSummary, MetricBundle, QueryOutcome
-from .textio import read_utf8
+from .textio import open_text
 
 logger = logging.getLogger(__name__)
 
@@ -124,13 +123,13 @@ def load_outcomes_csv(path: str | Path) -> tuple[list[QueryOutcome], list[Skippe
     """Read back a file written by :func:`write_outcomes_csv`."""
     outcomes: list[QueryOutcome] = []
     skipped: list[SkippedQuery] = []
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    reader = csv.reader(open_text(path))
     header = next(reader, None)
     if header != _OUTCOME_HEADER:
         raise ValueError(f"{path}: not an outcomes file (unexpected header)")
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if len(row) != len(_OUTCOME_HEADER):
-            raise ValueError(f"{path}:{lineno}: expected {len(_OUTCOME_HEADER)} fields")
+            raise ValueError(f"{path}:{reader.line_num}: expected {len(_OUTCOME_HEADER)} fields")
         status = row[0]
         try:
             if status == "scored":
@@ -154,5 +153,5 @@ def load_outcomes_csv(path: str | Path) -> tuple[list[QueryOutcome], list[Skippe
             else:
                 raise ValueError(f"unknown status {status!r}")
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return outcomes, skipped

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from analogykit.cli import main
+from analogykit.cli import _read_candidate_terms, main
+from analogykit.datagen import load_allowlist, load_lexicon
 from analogykit.dataset import AnalogyRecord, save_dataset
 from analogykit.embeddings import EmbeddingMatrix, save_embeddings
+from analogykit.reports import load_outcomes_csv
 
 OUTCOME_FILES = ("dataset_ids.tsv", "dataset_terms.tsv", "statistics.tsv", "review.tsv")
 
@@ -304,3 +306,30 @@ def test_report_invalid_utf8_names_file_and_line(tmp_path, capsys):
     assert rc == 1
     assert f"error: {outcomes_path}:2: not valid UTF-8" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_a_term_holding_nel_is_one_term_in_every_input(tmp_path):
+    candidates = tmp_path / "candidates.txt"
+    candidates.write_text("new\x85york\nparis\n", encoding="utf-8")
+    assert _read_candidate_terms(str(candidates)) == ["new\x85york", "paris"]
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("C1\tnew\x85york\nC2\tparis\n", encoding="utf-8")
+    assert load_lexicon(lexicon) == {"C1": ["new\x85york"], "C2": ["paris"]}
+    allowlist = tmp_path / "allow.txt"
+    allowlist.write_text("R\u20281\nR2\n", encoding="utf-8")
+    assert load_allowlist(allowlist) == frozenset({"R\u20281", "R2"})
+
+
+def test_load_outcomes_csv_names_the_physical_line(tmp_path):
+    path = tmp_path / "outcomes.csv"
+    header = "status,relation_id,a,c,top_guess,relaxed_hit,average_precision,reciprocal_rank,n_answers_listed,n_answers_scored,reason"
+    path.write_text(
+        f'{header}\nskipped,r,a,c,,,,,,,"reason over\ntwo lines"\nscored,r,a,c,d,maybe,1.0,1.0,1,1,\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"outcomes\.csv:4: bad relaxed_hit 'maybe'"):
+        load_outcomes_csv(path)
+    path.write_text(path.read_text(encoding="utf-8").replace("maybe", "true"), encoding="utf-8")
+    outcomes, skipped = load_outcomes_csv(path)
+    assert [s.reason for s in skipped] == ["reason over\ntwo lines"]
+    assert [o.relaxed_hit for o in outcomes] == [True]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from analogykit.dataset import (
     AnalogyFormatError,
@@ -46,6 +48,17 @@ def test_record_rejects_duplicate_examples():
 def test_record_rejects_pipe_in_term():
     with pytest.raises(ValueError, match="contains"):
         make_record(a="bad|term")
+
+
+@pytest.mark.parametrize("term", ["bad\rterm", "bad\nterm", "bad\tterm"], ids=["cr", "lf", "tab"])
+def test_record_rejects_line_and_field_breaks_in_terms(term):
+    with pytest.raises(ValueError, match="contains"):
+        make_record(b_list=("aspirin", term))
+
+
+def test_record_rejects_relation_id_read_as_a_comment():
+    with pytest.raises(ValueError, match="starts with '#'"):
+        make_record(relation_id="#L1")
 
 
 def test_record_preserves_list_order():
@@ -135,6 +148,38 @@ def test_round_trip_preserves_every_field(tmp_path):
     path = tmp_path / "out.tsv"
     save_dataset(records, path)
     assert load_dataset(path) == records
+
+
+# Any UTF-8 text without surrounding whitespace, with inner spaces, "#" and
+# the Unicode line boundaries that are not line breaks drawn more often.
+_EDGE = st.characters(codec="utf-8", exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp"))
+_INNER = st.characters(codec="utf-8") | st.sampled_from([" ", "#", "\x0c", "\x85", "\u2028", "\u2029"])
+TERMS = _EDGE | st.tuples(_EDGE, st.text(_INNER, max_size=4), _EDGE).map("".join)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    relation_id=TERMS,
+    a=TERMS,
+    b_list=st.lists(TERMS, min_size=1, max_size=3),
+    c=TERMS,
+    d_list=st.lists(TERMS, min_size=1, max_size=3),
+)
+@example(relation_id="rel", a="a", b_list=["b\rx"], c="c", d_list=["d"])
+@example(relation_id="#rel", a="a", b_list=["b"], c="c", d_list=["d"])
+@example(relation_id="r\x85s", a="new\x85york", b_list=["x\u2028y", "p q"], c="c  d", d_list=["d\u2029"])
+def test_every_record_the_class_accepts_survives_save_and_load(tmp_path, relation_id, a, b_list, c, d_list):
+    try:
+        record = AnalogyRecord(relation_id, a, tuple(b_list), c, tuple(d_list))
+    except ValueError:
+        assume(False)
+    path = tmp_path / "round_trip.tsv"
+    save_dataset([record, record], path)
+    assert load_dataset(path) == [record, record]
 
 
 # ------------------------------------------------------------- combinations

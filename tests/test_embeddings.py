@@ -233,6 +233,27 @@ def test_text_embeddings_with_invalid_utf8_name_line(tmp_path):
         load_embeddings(path)
 
 
+# The Unicode line boundaries other than \n, \r\n and \r.
+NON_BREAKING_BOUNDARIES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", NON_BREAKING_BOUNDARIES, ids=[f"U+{ord(c):04X}" for c in NON_BREAKING_BOUNDARIES])
+def test_text_unicode_line_boundaries_separate_values(tmp_path, sep):
+    # Lines break only at \n, \r\n and \r; the other boundaries are whitespace inside a row.
+    path = tmp_path / "sep.txt"
+    path.write_text(f"a 1{sep}2\nb{sep}3 4\n", encoding="utf-8")
+    loaded = load_embeddings(path, format="text-noheader")
+    assert loaded.tokens == ["a", "b"]
+    assert loaded.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_text_error_after_a_form_feed_names_the_text_mode_line(tmp_path):
+    path = tmp_path / "ff.txt"
+    path.write_text("a 1 2\nb 1\x0c2\nc 3 4\nd x 5\n", encoding="utf-8")
+    with pytest.raises(EmbeddingParseError, match=r"ff\.txt:4: could not convert string to float: 'x'"):
+        load_embeddings(path, format="text-noheader")
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown embedding format"):
         load_embeddings(tmp_path / "x", format="protobuf")

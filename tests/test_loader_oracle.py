@@ -51,7 +51,9 @@ def _oracle_float(field: str) -> float:
 
 
 def oracle_load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
-    lines = path.read_text(encoding="utf-8").splitlines()
+    # Text mode: lines end at \n, \r\n or \r, and at no other Unicode line boundary.
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh]
     if not lines:
         raise EmbeddingParseError(f"{path}: empty file")
     header = None if force_headerless else _oracle_header(lines[0].split())
@@ -189,6 +191,8 @@ GARBAGE = ["abc", "1e", "0x10", "--1", "1.2.3", "nan(1)", "1,5", "−1"]
 NUMERALS = ["1_0", "１", "٣", "٣.٣", "-1_000.5"]
 NON_FINITE = ["nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "1e999"]
 ZEROS = ["0", "-0", "0.0", "-0.0", "0e5", "+0", "1e-400"]
+# The Unicode line boundaries that do not end a line in text mode.
+BOUNDARIES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 # Finite values whose square overflows float64.
 HUGE = ["1e200", "-1.5E+160", "1.7976931348623157e308", "+2e154"]
 
@@ -270,7 +274,9 @@ def test_binary_loader_matches_oracle_on_valid_files(tmp_path, table):
     assert assert_loaders_agree(path, "binary")
 
 
-TEXT_MUTATIONS = ["drop", "extra", "garbage", "numeral", "duplicate", "non-finite", "zero", "huge", "header"]
+TEXT_MUTATIONS = [
+    "drop", "extra", "garbage", "numeral", "duplicate", "non-finite", "zero", "huge", "header", "boundary"
+]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -296,6 +302,9 @@ def test_text_loader_errors_match_oracle_on_mutated_files(tmp_path, table, data)
             rows[i] = [data.draw(st.sampled_from(ZEROS)) for _ in rows[i]]
         elif kind == "huge" and j < len(rows[i]):
             rows[i][j] = data.draw(st.sampled_from(HUGE))
+        elif kind == "boundary" and j < len(rows[i]):
+            # A separator, not a line break: the row gains a value.
+            rows[i][j] += data.draw(st.sampled_from(BOUNDARIES)) + "1.5"
         elif kind == "header":
             table["format"] = "text"
             count = n + data.draw(st.sampled_from([-1, 1]))
