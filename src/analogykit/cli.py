@@ -31,7 +31,7 @@ from .reports import (
     write_outcomes_csv,
     write_summary_csv,
 )
-from .scoring import _PAIRDIST_ROWS, DEFAULT_EPSILON, METHODS
+from .scoring import DEFAULT_EPSILON, METHODS
 from .textio import open_text
 
 logger = logging.getLogger(__name__)
@@ -67,9 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="keep composed query vectors at their raw length")
     p_eval.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; must be >= 1 and has no effect")
-    p_eval.add_argument("--block-size", type=int, default=None,
-                        help="score candidates in blocks of at most this many rows, to bound memory; "
-                             f"pairdist never holds more than {_PAIRDIST_ROWS} rows either way")
     p_eval.add_argument("--out-table", help="also write the text table to this file")
     p_eval.add_argument("--out-csv", help="write the summary CSV to this file")
     p_eval.add_argument("--out-outcomes", help="write the per-question CSV to this file")
@@ -112,7 +109,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         shift=args.shift_cosines,
         normalize_queries=not args.no_normalize,
         workers=args.workers,
-        block_size=args.block_size,
     )
     if args.out_outcomes:
         write_outcomes_csv(result.outcomes, result.skipped, args.out_outcomes)

@@ -103,6 +103,10 @@ def load_triples(path: str | Path) -> list[Triple]:
     for lineno, fields in read_tsv(path, GenerationError):
         if len(fields) != 3 or not all(fields):
             raise GenerationError(f"{path}:{lineno}: expected 3 non-empty tab-separated fields")
+        if fields[1].startswith("#"):
+            raise GenerationError(
+                f"{path}:{lineno}: relation id {fields[1]!r} starts with '#', which marks a comment line"
+            )
         triples.append(Triple(subject=fields[0], relation=fields[1], object=fields[2]))
     if not triples:
         raise GenerationError(f"{path}: no triples")

@@ -179,6 +179,10 @@ class CandidateIndex:
             raise ValueError("matrix must have one row per surface")
         if len(surfaces) == 0:
             raise ValueError("candidate index is empty: evaluation is impossible")
+        # A line break would not survive the outcomes CSV as a top guess.
+        for surface in surfaces:
+            if "\n" in surface or "\r" in surface:
+                raise ValueError(f"candidate surface {surface!r} contains a line break")
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         if np.abs(norms - 1.0).max() > 1e-6:
             raise ValueError("candidate vectors must be unit-normalized")

@@ -20,6 +20,7 @@ Records are evaluated one after another, and outcomes keep dataset order.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +97,6 @@ def _evaluate_one(
     epsilon: float,
     shift: bool,
     normalize: bool,
-    block_size: int | None,
 ) -> QueryOutcome:
     reduced = apply_setting(record, setting)
     a_vec = _compose_query_vector(reduced.a, emb, normalize)
@@ -121,7 +121,7 @@ def _evaluate_one(
         if (i := index.index_of(term)) is not None
     }
     query = AnalogyQuery(a=a_vec, b=b_rows, c=c_vec)
-    scores = score_candidates(index, query, method, epsilon=epsilon, shift=shift, block_size=block_size)
+    scores = score_candidates(index, query, method, epsilon=epsilon, shift=shift)
     try:
         answer_positions, top = rank_answers(scores, answer_indices, excluded)
     except ValueError:
@@ -150,7 +150,6 @@ def evaluate_records(
     shift: bool = False,
     normalize_queries: bool = True,
     workers: int = 1,
-    block_size: int | None = None,
 ) -> EvaluationResult:
     """Evaluate ``records`` and aggregate the outcomes.
 
@@ -166,8 +165,8 @@ def evaluate_records(
         raise ValueError(f"unknown scoring method {method!r}; expected one of {METHODS}")
     if workers < 1:
         raise ValueError("workers must be a positive integer")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if emb.dim != index.dim:
         raise ValueError(f"embedding dimension {emb.dim} != candidate index dimension {index.dim}")
 
@@ -176,9 +175,7 @@ def evaluate_records(
     for record in records:
         try:
             outcomes.append(
-                _evaluate_one(
-                    record, setting, emb, index, method, epsilon, shift, normalize_queries, block_size
-                )
+                _evaluate_one(record, setting, emb, index, method, epsilon, shift, normalize_queries)
             )
         except _SkipQuery as skip:
             skipped.append(SkippedQuery(record.relation_id, record.a, record.c, skip.reason))

@@ -24,23 +24,21 @@ Ranking places ``+inf`` first, then finite scores, then ``-inf``, then
 NaN; ties, including ``0.0`` against ``-0.0`` and between NaNs, go to the
 lower index.  This is the order of a stable sort on the negated scores.
 
-``block_size`` bounds how many candidate rows are materialized per
-intermediate; results do not depend on it beyond float round-off.
 ``pairdist`` never holds more than ``_PAIRDIST_ROWS`` rows of its difference
-matrix ``d - c``: within each block it runs the formula over row chunks of
-that size, so its temporaries stay in cache.  Its scores are bit-identical
-to the whole-matrix formula when the index fits in one chunk (as in
-acceptance criterion 7), and otherwise equal to it within round-off: with
-no ``block_size`` the chunks reproduce a single-threaded whole-matrix
-product bit for bit, but that product itself changes in the last bits
-(2.8e-17 on 50 003 random unit rows) between one and two OpenBLAS threads.
+matrix ``d - c``: it runs the formula over row chunks of that size, so its
+temporaries stay in cache.  Its scores are bit-identical to the whole-matrix
+formula when the index fits in one chunk (as in acceptance criterion 7), and
+otherwise equal to it within round-off: the chunks reproduce a
+single-threaded whole-matrix product bit for bit, but that product itself
+changes in the last bits (2.8e-17 on 50 003 random unit rows) between one
+and two OpenBLAS threads.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -82,48 +80,12 @@ def _shift(scores: np.ndarray, shift: bool) -> np.ndarray:
     return (scores + 1.0) / 2.0 if shift else scores
 
 
-def _cos_rows(block: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _cos_rows(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Candidate rows are unit vectors, so only v needs normalizing.
     norm = np.linalg.norm(v)
     if norm == 0.0:
-        return np.zeros(block.shape[0], dtype=np.float64)
-    return block @ (v / norm)
-
-
-def _score_block(block: np.ndarray, query: AnalogyQuery, method: str, epsilon: float, shift: bool) -> np.ndarray:
-    if method == "cosadd":
-        target = query.c + exemplar_offset(query.a, query.b)
-        return _cos_rows(block, target)
-    if method == "pairdist":
-        offset = exemplar_offset(query.a, query.b)
-        offset_norm = np.linalg.norm(offset)
-        scores = np.zeros(block.shape[0], dtype=np.float64)
-        if offset_norm == 0.0:
-            return scores
-        unit = offset / offset_norm
-        for start, stop in _blocks(block.shape[0], _PAIRDIST_ROWS):
-            diff = block[start:stop] - query.c
-            diff_norms = np.linalg.norm(diff, axis=1)
-            np.divide(diff @ unit, diff_norms, out=scores[start:stop], where=diff_norms != 0.0)
-        return scores
-    if method == "cosmul":
-        sim_c = _shift(_cos_rows(block, query.c), shift)
-        sim_a = _shift(_cos_rows(block, query.a), shift)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_b = [
-                _shift(_cos_rows(block, b_i), shift) * sim_c / (sim_a + epsilon)
-                for b_i in query.b
-            ]
-        # Mean of the per-example scores; a single example recovers the
-        # plain three-term formula exactly.
-        return np.stack(per_b).mean(axis=0)
-    raise ValueError(f"unknown scoring method {method!r}; expected one of {METHODS}")
-
-
-def _blocks(n: int, block_size: int | None) -> Iterator[tuple[int, int]]:
-    size = n if block_size is None else block_size
-    for start in range(0, n, size):
-        yield start, min(start + size, n)
+        return np.zeros(rows.shape[0], dtype=np.float64)
+    return rows @ (v / norm)
 
 
 def score_candidates(
@@ -133,20 +95,36 @@ def score_candidates(
     *,
     epsilon: float = DEFAULT_EPSILON,
     shift: bool = False,
-    block_size: int | None = None,
 ) -> np.ndarray:
     """Score every index entry for ``query``; higher is better."""
     if method not in METHODS:
         raise ValueError(f"unknown scoring method {method!r}; expected one of {METHODS}")
-    if block_size is not None and block_size < 1:
-        raise ValueError("block_size must be a positive integer")
     if query.a.shape[0] != index.dim:
         raise ValueError(f"query dimension {query.a.shape[0]} != index dimension {index.dim}")
-    n = len(index)
-    scores = np.empty(n, dtype=np.float64)
-    for start, stop in _blocks(n, block_size):
-        scores[start:stop] = _score_block(index.matrix[start:stop], query, method, epsilon, shift)
-    return scores
+    rows = index.matrix
+    if method == "cosadd":
+        return _cos_rows(rows, query.c + exemplar_offset(query.a, query.b))
+    if method == "pairdist":
+        offset = exemplar_offset(query.a, query.b)
+        offset_norm = np.linalg.norm(offset)
+        n = rows.shape[0]
+        scores = np.zeros(n, dtype=np.float64)
+        if offset_norm == 0.0:
+            return scores
+        unit = offset / offset_norm
+        for start in range(0, n, _PAIRDIST_ROWS):
+            stop = min(start + _PAIRDIST_ROWS, n)
+            diff = rows[start:stop] - query.c
+            diff_norms = np.linalg.norm(diff, axis=1)
+            np.divide(diff @ unit, diff_norms, out=scores[start:stop], where=diff_norms != 0.0)
+        return scores
+    sim_c = _shift(_cos_rows(rows, query.c), shift)
+    sim_a = _shift(_cos_rows(rows, query.a), shift)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_b = [_shift(_cos_rows(rows, b_i), shift) * sim_c / (sim_a + epsilon) for b_i in query.b]
+    # Mean of the per-example scores; a single example recovers the plain
+    # three-term formula exactly.
+    return np.stack(per_b).mean(axis=0)
 
 
 def rank_candidates(scores: np.ndarray, exclusions: set[int] | None = None) -> np.ndarray:

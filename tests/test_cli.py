@@ -263,6 +263,26 @@ def test_unknown_choices_are_rejected_by_argparse(tmp_path, flag, value):
     assert exc.value.code == 2
 
 
+def test_evaluate_rejects_nan_epsilon(tmp_path, capsys):
+    paths = write_royal_inputs(tmp_path, [royal_record()])
+    rc = main(evaluate_args(paths, "--method", "cosmul", "--epsilon", "nan"))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: epsilon" in captured.err
+    assert captured.out == ""
+
+
+def test_generate_relation_id_read_as_a_comment_names_file_and_line(tmp_path, capsys):
+    paths = write_generation_inputs(tmp_path)
+    triples = Path(paths["triples"])
+    triples.write_text(triples.read_text(encoding="utf-8").replace("rel0", "#rel"), encoding="utf-8")
+    rc = main(generate_args(paths, tmp_path / "out"))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {triples}:1: relation id '#rel' starts with '#'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def corrupt_line_two(path: Path) -> None:
     lines = path.read_bytes().splitlines(keepends=True)
     lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]

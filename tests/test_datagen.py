@@ -289,6 +289,13 @@ def test_load_triples_rejects_bad_line(tmp_path):
         load_triples(path)
 
 
+def test_load_triples_rejects_relation_id_read_as_a_comment(tmp_path):
+    path = tmp_path / "triples.tsv"
+    path.write_text("a\tR\tb\nc\t#R\td\n")
+    with pytest.raises(GenerationError, match=r"triples\.tsv:2: relation id '#R' starts with '#'"):
+        load_triples(path)
+
+
 def test_load_lexicon_keeps_term_order(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("C1\tzeta name\nC1\talpha name\nC1\tzeta name\n")

@@ -366,3 +366,12 @@ def test_empty_index_is_an_error(small_matrix):
 def test_direct_index_requires_unit_rows():
     with pytest.raises(ValueError, match="unit-normalized"):
         CandidateIndex(["a"], np.array([[3.0, 4.0]]))
+
+
+@pytest.mark.parametrize("surface", ["alpha\r\nbeta", "alpha\nbeta", "alpha\rbeta"])
+def test_index_rejects_surfaces_holding_line_breaks(small_matrix, surface):
+    # Such a surface, reported as a top guess, would not read back from the outcomes CSV.
+    with pytest.raises(ValueError, match="contains a line break"):
+        build_candidate_index(["gamma", surface], small_matrix)
+    with pytest.raises(ValueError, match="contains a line break"):
+        CandidateIndex(["gamma", surface], np.eye(2))

@@ -136,17 +136,6 @@ def test_worker_count_does_not_change_results(royal_space):
     assert runs[0].summary == runs[1].summary == runs[2].summary
 
 
-def test_block_size_does_not_change_results():
-    rng = np.random.default_rng(53)
-    tokens = [f"w{i}" for i in range(25)]
-    emb = EmbeddingMatrix(tokens, rng.normal(size=(25, 5)))
-    index = build_candidate_index(tokens, emb)
-    records = [record("w1", ("w2",), "w3", ("w4", "w5"))]
-    whole = evaluate_records(records, emb, index, setting="multi", method="pairdist")
-    blocked = evaluate_records(records, emb, index, setting="multi", method="pairdist", block_size=4)
-    assert whole.outcomes == blocked.outcomes
-
-
 def test_every_candidate_excluded_becomes_a_skip():
     emb = EmbeddingMatrix(
         ["alpha", "bravo", "gamma"], np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -222,6 +211,8 @@ def test_summary_is_none_when_nothing_scores(royal_space):
         (dict(setting="single", method="euclid"), "unknown scoring method"),
         (dict(setting="single", method="cosadd", workers=0), "workers"),
         (dict(setting="single", method="cosadd", epsilon=0.0), "epsilon"),
+        (dict(setting="single", method="cosmul", epsilon=float("nan")), "epsilon"),
+        (dict(setting="single", method="cosmul", epsilon=float("inf")), "epsilon"),
     ],
 )
 def test_evaluate_validates_arguments(royal_space, kwargs, message):

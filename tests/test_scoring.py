@@ -101,9 +101,8 @@ def test_scores_match_naive_loop(method, k):
     for _ in range(5):
         query = random_query(rng, 12, k)
         expected = naive_scores(index.matrix, query, method)
-        for block_size in (None, 7):
-            got = score_candidates(index, query, method, block_size=block_size)
-            assert np.abs(got - expected).max() <= 1e-6
+        got = score_candidates(index, query, method)
+        assert np.abs(got - expected).max() <= 1e-6
 
 
 def test_royal_fixture_top_guess_after_exclusion():
@@ -350,10 +349,3 @@ def test_score_rejects_dim_mismatch():
     index = random_index(rng, 5, 3)
     with pytest.raises(ValueError, match="query dimension"):
         score_candidates(index, random_query(rng, 4, 1), "cosadd")
-
-
-def test_score_rejects_non_positive_block_size():
-    rng = np.random.default_rng(1)
-    index = random_index(rng, 5, 3)
-    with pytest.raises(ValueError, match="block_size"):
-        score_candidates(index, random_query(rng, 3, 1), "cosadd", block_size=0)
