@@ -24,7 +24,7 @@ from .datagen import (
 from .dataset import SETTINGS, load_dataset, save_dataset
 from .embeddings import EMBEDDING_FORMATS, build_candidate_index, load_embeddings
 from .evaluate import evaluate_records
-from .metrics import summarize
+from .metrics import EvaluationSummary, summarize
 from .reports import (
     format_summary_table,
     load_outcomes_csv,
@@ -94,6 +94,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_summary(summary: EvaluationSummary, args: argparse.Namespace) -> None:
+    """Print the summary table and write ``--out-table`` and ``--out-csv`` when given."""
+    table = format_summary_table(summary)
+    sys.stdout.write(table)
+    if args.out_table:
+        Path(args.out_table).write_text(table, encoding="utf-8")
+    if args.out_csv:
+        write_summary_csv(summary, args.out_csv)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     emb = load_embeddings(args.embeddings, args.embeddings_format)
     index = build_candidate_index(_read_candidate_terms(args.candidates), emb)
@@ -115,12 +125,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if result.summary is None:
         print("error: no analogy question could be scored", file=sys.stderr)
         return 1
-    table = format_summary_table(result.summary)
-    sys.stdout.write(table)
-    if args.out_table:
-        Path(args.out_table).write_text(table, encoding="utf-8")
-    if args.out_csv:
-        write_summary_csv(result.summary, args.out_csv)
+    _write_summary(result.summary, args)
     if result.skipped:
         print(f"skipped {len(result.skipped)} of {len(records)} analogy questions", file=sys.stderr)
         return 2
@@ -158,13 +163,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 1
     if skipped:
         logger.info("outcomes file records %d skipped questions", len(skipped))
-    summary = summarize(outcomes)
-    table = format_summary_table(summary)
-    sys.stdout.write(table)
-    if args.out_table:
-        Path(args.out_table).write_text(table, encoding="utf-8")
-    if args.out_csv:
-        write_summary_csv(summary, args.out_csv)
+    _write_summary(summarize(outcomes), args)
     return 0
 
 

@@ -15,7 +15,8 @@ sampling uses ``"<seed>|review|<relation_id>"``), so output is portable
 across platforms and independent of relation processing order.  Identical
 inputs and seed give byte-identical output files.
 
-Input files are TSV: triples ``subject<TAB>relation<TAB>object``; lexicon
+Input files are TSV: triples ``subject<TAB>relation<TAB>object``, each
+field following the term rule of :mod:`.dataset` records; lexicon
 ``concept<TAB>term`` with one line per term, order meaningful;
 frequencies ``term<TAB>count``; allowlist one relation id per line.
 """
@@ -28,7 +29,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataset import AnalogyRecord, ambiguity, combine_pairs
+from .dataset import AnalogyRecord, _check_relation_id, _check_term, ambiguity, combine_pairs
 from .textio import open_text, read_tsv
 
 logger = logging.getLogger(__name__)
@@ -103,11 +104,14 @@ def load_triples(path: str | Path) -> list[Triple]:
     for lineno, fields in read_tsv(path, GenerationError):
         if len(fields) != 3 or not all(fields):
             raise GenerationError(f"{path}:{lineno}: expected 3 non-empty tab-separated fields")
-        if fields[1].startswith("#"):
-            raise GenerationError(
-                f"{path}:{lineno}: relation id {fields[1]!r} starts with '#', which marks a comment line"
-            )
-        triples.append(Triple(subject=fields[0], relation=fields[1], object=fields[2]))
+        subject, relation, obj = fields
+        try:
+            _check_term("subject", subject)
+            _check_relation_id("relation id", relation)
+            _check_term("object", obj)
+        except ValueError as exc:
+            raise GenerationError(f"{path}:{lineno}: {exc}") from exc
+        triples.append(Triple(subject=subject, relation=relation, object=obj))
     if not triples:
         raise GenerationError(f"{path}: no triples")
     return triples

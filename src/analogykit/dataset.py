@@ -42,6 +42,12 @@ def _check_term(field: str, value: str) -> None:
             raise ValueError(f"{field} {value!r} contains {forbidden!r}")
 
 
+def _check_relation_id(field: str, value: str) -> None:
+    _check_term(field, value)
+    if value.startswith("#"):
+        raise ValueError(f"{field} {value!r} starts with '#', which marks a comment line")
+
+
 def _check_terms(field: str, values: tuple[str, ...]) -> None:
     if not values:
         raise ValueError(f"{field} is empty")
@@ -68,9 +74,7 @@ class AnalogyRecord:
     def __post_init__(self) -> None:
         object.__setattr__(self, "b_list", tuple(self.b_list))
         object.__setattr__(self, "d_list", tuple(self.d_list))
-        _check_term("relation_id", self.relation_id)
-        if self.relation_id.startswith("#"):
-            raise ValueError(f"relation_id {self.relation_id!r} starts with '#', which marks a comment line")
+        _check_relation_id("relation_id", self.relation_id)
         _check_term("a", self.a)
         _check_term("c", self.c)
         _check_terms("b_list", self.b_list)

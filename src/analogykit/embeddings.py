@@ -76,9 +76,8 @@ class EmbeddingMatrix:
     """
 
     def __init__(self, tokens: list[str], vectors: np.ndarray):
-        self._init(list(tokens), np.array(vectors, dtype=np.float64))
-
-    def _init(self, tokens: list[str], vectors: np.ndarray) -> None:
+        tokens = list(tokens)
+        vectors = np.array(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] < 1:
             raise ValueError("vectors must be a 2-d array with at least one column")
         if len(tokens) != vectors.shape[0]:
@@ -86,14 +85,11 @@ class EmbeddingMatrix:
         if vectors.shape[0] == 0:
             raise ValueError("embedding matrix must contain at least one token")
         _validate_tokens(tokens)
-        if not np.isfinite(vectors).all():
-            raise ValueError("embedding vectors must be finite")
-        # einsum sums the squares without a temporary the size of the matrix.
-        squares = np.einsum("ij,ij->i", vectors, vectors)
-        if (squares == 0.0).any():
-            raise ValueError("zero vectors are not allowed")
-        if (squares == np.inf).any():
-            raise ValueError("vector norms must not overflow float64")
+        _check_values(tokens, vectors, lambda i: f"row {i}", ValueError)
+        self._init(tokens, vectors)
+
+    def _init(self, tokens: list[str], vectors: np.ndarray) -> None:
+        """Store arrays that the constructor or a loader has already checked."""
         vectors.flags.writeable = False
         self.tokens: list[str] = tokens
         self.vectors: np.ndarray = vectors
@@ -295,10 +291,10 @@ def _parse_value(field: str) -> float:
     return float(field)
 
 
-def _check_values(tokens: list[str], vectors: np.ndarray, where) -> None:
-    """Raise for the first row that holds a non-finite value or whose norm is zero or overflows.
+def _check_values(tokens: list[str], vectors: np.ndarray, where, error: type[ValueError]) -> None:
+    """Raise ``error`` for the first row with a non-finite value or a zero or overflowing norm.
 
-    ``where(i)`` is the location of row ``i`` in the file.
+    ``where(i)`` is the location of row ``i``: its place in the file, or its row number.
     """
     non_finite = ~np.isfinite(vectors).all(axis=1)
     squares = np.einsum("ij,ij->i", vectors, vectors)
@@ -314,7 +310,7 @@ def _check_values(tokens: list[str], vectors: np.ndarray, where) -> None:
             problem = "zero vector"
         else:
             problem = "norm overflows float64"
-        raise EmbeddingParseError(f"{where(i)}: {problem} for token {tokens[i]!r}")
+        raise error(f"{where(i)}: {problem} for token {tokens[i]!r}")
 
 
 def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
@@ -355,7 +351,7 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
         vectors = None
     if vectors is None or vectors.shape != (len(data), dim):
         _scan_text(data, dim, where)
-    _check_values(tokens, vectors, where)
+    _check_values(tokens, vectors, where, EmbeddingParseError)
     return _adopt(EmbeddingMatrix, tokens, vectors)
 
 
@@ -382,7 +378,7 @@ def _scan_text(data: list[str], dim: int, where) -> NoReturn:
                 seen.add(fields[0])
                 tokens.append(fields[0])
                 continue
-        _check_values(tokens, np.array(rows, dtype=np.float64).reshape(-1, dim), where)
+        _check_values(tokens, np.array(rows, dtype=np.float64).reshape(-1, dim), where, EmbeddingParseError)
         raise EmbeddingParseError(f"{where(i)}: {error}")
     raise EmbeddingParseError(f"{where(0)}: rows do not parse as {len(data)} x {dim} values")
 
@@ -444,7 +440,7 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
         packed = b"".join([view[o : o + row_bytes] for o in offsets])
     del blob  # free the file bytes before the float64 copy
     vectors = np.frombuffer(packed, dtype="<f4").reshape(len(offsets), dim).astype(np.float64)
-    _check_values(tokens, vectors, lambda i: f"{path}: offset {offsets[i]}")
+    _check_values(tokens, vectors, lambda i: f"{path}: offset {offsets[i]}", EmbeddingParseError)
     if error is not None:
         raise EmbeddingParseError(f"{path}: {error}")
     return _adopt(EmbeddingMatrix, tokens, vectors)

@@ -22,13 +22,10 @@ not of the evaluated setting.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 
 def average_precision(positions: Sequence[int]) -> float:

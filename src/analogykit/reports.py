@@ -9,15 +9,12 @@ endings.  Text-table floats use 4 decimal places for relation rows and
 from __future__ import annotations
 
 import csv
-import logging
 from pathlib import Path
 from typing import Sequence
 
 from .evaluate import SkippedQuery
 from .metrics import EvaluationSummary, MetricBundle, QueryOutcome
 from .textio import open_text
-
-logger = logging.getLogger(__name__)
 
 _METRIC_FIELDS = ("relaxed_accuracy", "mean_ap", "mean_rr", "ambiguity")
 

@@ -36,15 +36,12 @@ and two OpenBLAS threads.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
 import numpy as np
 
 from .embeddings import CandidateIndex
-
-logger = logging.getLogger(__name__)
 
 METHODS = ("cosadd", "pairdist", "cosmul")
 DEFAULT_EPSILON = 0.001

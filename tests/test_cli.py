@@ -283,6 +283,19 @@ def test_generate_relation_id_read_as_a_comment_names_file_and_line(tmp_path, ca
     assert "Traceback" not in captured.err
 
 
+def test_generate_triple_breaking_the_term_rule_names_file_and_line(tmp_path, capsys):
+    paths = write_generation_inputs(tmp_path)
+    triples = Path(paths["triples"])
+    lines = triples.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].replace("rel0", "re|l")
+    triples.write_text("".join(lines), encoding="utf-8")
+    rc = main(generate_args(paths, tmp_path / "out"))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {triples}:3: relation id 're|l' contains '|'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def corrupt_line_two(path: Path) -> None:
     lines = path.read_bytes().splitlines(keepends=True)
     lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -293,6 +294,22 @@ def test_load_triples_rejects_relation_id_read_as_a_comment(tmp_path):
     path = tmp_path / "triples.tsv"
     path.write_text("a\tR\tb\nc\t#R\td\n")
     with pytest.raises(GenerationError, match=r"triples\.tsv:2: relation id '#R' starts with '#'"):
+        load_triples(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("s|1\tR\to", "subject 's|1' contains '|'"),
+        ("s\tre|l\to", "relation id 're|l' contains '|'"),
+        ("s\tR\t o", "object ' o' has surrounding whitespace"),
+    ],
+    ids=["subject", "relation", "object"],
+)
+def test_load_triples_applies_the_record_term_rule(tmp_path, line, message):
+    path = tmp_path / "triples.tsv"
+    path.write_text(f"a\tR\tb\n{line}\n")
+    with pytest.raises(GenerationError, match=re.escape(f"triples.tsv:2: {message}")):
         load_triples(path)
 
 

@@ -55,6 +55,13 @@ def test_constructor_rejects_non_finite():
         EmbeddingMatrix(["a"], np.array([[np.nan, 1.0]]))
 
 
+def test_constructor_names_the_row_with_the_loaders_rule():
+    with pytest.raises(ValueError) as caught:
+        EmbeddingMatrix(["a", "b"], np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert str(caught.value) == "row 1: zero vector for token 'b'"
+    assert not isinstance(caught.value, EmbeddingParseError)
+
+
 def test_vectors_are_read_only(small_matrix):
     with pytest.raises(ValueError):
         small_matrix.vectors[0, 0] = 9.9

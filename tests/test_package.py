@@ -1,0 +1,45 @@
+import importlib
+
+import analogykit
+
+EXPORTS = {
+    "AnalogyQuery",
+    "AnalogyRecord",
+    "EmbeddingMatrix",
+    "build_candidate_index",
+    "compose_term",
+    "evaluate_records",
+    "format_summary_table",
+    "load_embeddings",
+    "normalize_term",
+    "rank_candidates",
+    "save_embeddings",
+    "score_candidates",
+}
+
+
+def test_top_level_exports_the_twelve_entry_points():
+    assert sorted(analogykit.__all__) == sorted(EXPORTS)
+    assert len(analogykit.__all__) == len(EXPORTS)
+    for name in EXPORTS:
+        assert getattr(analogykit, name) is not None
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace: dict = {}
+    exec("from analogykit import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == EXPORTS
+
+
+def test_other_public_names_stay_in_their_modules():
+    for module, name in [
+        ("analogykit.datagen", "generate"),
+        ("analogykit.datagen", "GenerationConfig"),
+        ("analogykit.dataset", "load_dataset"),
+        ("analogykit.embeddings", "CandidateIndex"),
+        ("analogykit.metrics", "summarize"),
+        ("analogykit.reports", "load_outcomes_csv"),
+    ]:
+        assert hasattr(importlib.import_module(module), name)
+        assert not hasattr(analogykit, name)
