@@ -109,6 +109,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     index = build_candidate_index(_read_candidate_terms(args.candidates), emb)
     logger.info("candidate index: %d terms (%d discarded)", len(index), index.n_discarded)
     records = load_dataset(args.dataset)
+    logger.info("loaded %d analogy records from %s", len(records), args.dataset)
     result = evaluate_records(
         records,
         emb,
@@ -120,6 +121,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         normalize_queries=not args.no_normalize,
         workers=args.workers,
     )
+    for o in result.outcomes:
+        if o.n_answers_scored == 0:
+            logger.warning("no listed answer of %r : %r is in the candidate index; question scores 0", o.a, o.c)
     if args.out_outcomes:
         write_outcomes_csv(result.outcomes, result.skipped, args.out_outcomes)
     if result.summary is None:
@@ -178,7 +182,3 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,15 +24,12 @@ frequencies ``term<TAB>count``; allowlist one relation id per line.
 from __future__ import annotations
 
 import csv
-import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
 from .dataset import AnalogyRecord, _check_relation_id, _check_term, ambiguity, combine_pairs
 from .textio import open_text, read_tsv
-
-logger = logging.getLogger(__name__)
 
 
 class GenerationError(ValueError):
@@ -286,7 +283,12 @@ def generate(
 
     def rep(concept: str) -> str:
         if concept not in representatives:
-            representatives[concept] = choose_representative_term(concept, surviving, freqs)
+            term = choose_representative_term(concept, surviving, freqs)
+            try:
+                _check_term("lexicon term", term)
+            except ValueError as exc:
+                raise GenerationError(f"concept {concept!r}: {exc}") from None
+            representatives[concept] = term
         return representatives[concept]
 
     review = [
@@ -321,9 +323,6 @@ def generate(
                 n_multi_answer=sum(1 for r in rel_terms if len(r.d_list) > 1),
                 ambiguity=ambiguity(rel_terms),
             )
-        )
-        logger.info(
-            "relation %s: %d bundles, %d analogies", relation_id, len(bundles), len(rel_terms)
         )
 
     return GenerationResult(

@@ -17,13 +17,10 @@ terms hold no tab, ``|``, ``\\n`` or ``\\r`` and no relation id starts with
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .textio import read_tsv
-
-logger = logging.getLogger(__name__)
 
 SETTINGS = ("single", "multi", "all-info")
 
@@ -118,7 +115,6 @@ def load_dataset(path: str | Path) -> list[AnalogyRecord]:
         records.append(record)
     if not records:
         raise AnalogyFormatError(f"{path}: no analogy records")
-    logger.info("loaded %d analogy records from %s", len(records), path)
     return records
 
 

@@ -252,8 +252,6 @@ def build_candidate_index(terms: list[str], emb: EmbeddingMatrix) -> CandidateIn
         matrix, norms = matrix[~zero], norms[~zero]
     if not surfaces:
         raise ValueError("candidate index is empty: no term had an in-vocabulary word")
-    if n_discarded:
-        logger.info("discarded %d of %d candidate terms (no in-vocabulary words)", n_discarded, len(seen))
     matrix /= norms[:, None]
     return _adopt(CandidateIndex, surfaces, matrix, n_discarded, keys)
 

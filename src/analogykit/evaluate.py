@@ -12,14 +12,14 @@ dropped or failed, when it cannot be scored at all:
 Skips are returned with their reasons so the caller can report them and
 set its exit status accordingly.  A question whose listed answers are all
 missing from the candidate index is still scored: it counts a miss with
-average precision and reciprocal rank 0.0, and a warning is logged.
+average precision and reciprocal rank 0.0, and its outcome shows
+``n_answers_scored == 0``.
 
 Records are evaluated one after another, and outcomes keep dataset order.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -41,8 +41,6 @@ from .scoring import (
     rank_answers,
     score_candidates,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -108,12 +106,6 @@ def _evaluate_one(
         i = index.index_of(d)
         if i is not None and i not in answer_indices:
             answer_indices.append(i)
-    if not answer_indices:
-        logger.warning(
-            "no listed answer of %r : %r is in the candidate index; question scores 0",
-            record.a,
-            record.c,
-        )
 
     excluded = {
         i
@@ -180,7 +172,5 @@ def evaluate_records(
         except _SkipQuery as skip:
             skipped.append(SkippedQuery(record.relation_id, record.a, record.c, skip.reason))
 
-    if skipped:
-        logger.warning("skipped %d of %d analogy questions", len(skipped), len(records))
     summary = summarize(outcomes) if outcomes else None
     return EvaluationResult(tuple(outcomes), tuple(skipped), summary)

@@ -117,6 +117,25 @@ def test_evaluate_skips_exit_two(tmp_path, capsys):
     )
 
 
+def test_evaluate_reports_each_count_once_on_stderr(tmp_path):
+    missing = AnalogyRecord(relation_id="royal", a="man", b_list=("woman",), c="king", d_list=("empress",))
+    paths = write_royal_inputs(tmp_path, [royal_record(), royal_record(a="emperor"), missing])
+    proc = subprocess.run(
+        [sys.executable, "-m", "analogykit", *evaluate_args(paths)],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "INFO analogykit.cli: candidate index: 4 terms (0 discarded)",
+        f"INFO analogykit.cli: loaded 3 analogy records from {paths['dataset']}",
+        "WARNING analogykit.cli: no listed answer of 'man' : 'king' is in the candidate index;"
+        " question scores 0",
+        "skipped 1 of 3 analogy questions",
+    ]
+
+
 def test_evaluate_nothing_scored_exit_one(tmp_path, capsys):
     paths = write_royal_inputs(tmp_path, [royal_record(a="emperor")])
     outcomes_path = tmp_path / "outcomes.csv"
@@ -293,6 +312,45 @@ def test_generate_triple_breaking_the_term_rule_names_file_and_line(tmp_path, ca
     captured = capsys.readouterr()
     assert rc == 1
     assert f"error: {triples}:3: relation id 're|l' contains '|'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_generate_lexicon_term_breaking_the_term_rule_names_the_concept(tmp_path, capsys):
+    paths = write_generation_inputs(tmp_path)
+    for which, old, new in (("lexicon", "\tsubj 3\n", "\tsubj|3\n"), ("frequencies", "\nsubj 3\t", "\nsubj|3\t")):
+        path = Path(paths[which])
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    rc = main(generate_args(paths, tmp_path / "out", "--pairs-per-relation", "12"))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: concept 's3': lexicon term 'subj|3' contains '|'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, which, content, extra, reason",
+    [
+        ("evaluate", "embeddings", b"", (), "empty file"),
+        ("evaluate", "embeddings", b"4 2\n", (), "no vector rows"),
+        ("evaluate", "embeddings", b"4 2", ("--embeddings-format", "binary"), "missing header line"),
+        ("evaluate", "candidates", b"\n\n", (), "no candidate terms"),
+        ("generate", "triples", b"\n\n", (), "no triples"),
+        ("generate", "lexicon", b"\n\n", (), "no lexicon entries"),
+    ],
+    ids=["text-empty", "text-header-only", "binary-no-newline", "candidates", "triples", "lexicon"],
+)
+def test_degenerate_input_file_names_the_file(tmp_path, capsys, command, which, content, extra, reason):
+    if command == "evaluate":
+        paths = write_royal_inputs(tmp_path, [royal_record()])
+        args = evaluate_args(paths, *extra)
+    else:
+        paths = write_generation_inputs(tmp_path)
+        args = generate_args(paths, tmp_path / "out", *extra)
+    Path(paths[which]).write_bytes(content)
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {paths[which]}: {reason}" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -136,6 +136,19 @@ def test_worker_count_does_not_change_results(royal_space):
     assert runs[0].summary == runs[1].summary == runs[2].summary
 
 
+def test_query_term_composing_to_zero_is_skipped():
+    emb = EmbeddingMatrix(
+        ["x", "y", "bravo", "gamma"],
+        np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    )
+    index = build_candidate_index(["bravo", "gamma"], emb)
+    records = [record("x y", ("bravo",), "gamma", ("bravo",))]
+    result = evaluate_records(records, emb, index, setting="single", method="cosadd")
+    (skip,) = result.skipped
+    assert skip.reason == "term 'x y' composed to a zero vector"
+    assert result.summary is None
+
+
 def test_every_candidate_excluded_becomes_a_skip():
     emb = EmbeddingMatrix(
         ["alpha", "bravo", "gamma"], np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -176,6 +178,19 @@ def test_cosadd_ranking_survives_candidate_rescaling():
     scores_b = score_candidates(index_b, query, "cosadd")
     assert np.abs(scores_a - scores_b).max() <= 1e-9
     assert np.array_equal(rank_candidates(scores_a), rank_candidates(scores_b))
+
+
+def test_cosadd_zero_target_scores_all_zero():
+    # a == b and c == 0 make the target c + (b - a) the zero vector.
+    rng = np.random.default_rng(17)
+    index = random_index(rng, 10, 4)
+    a = index.matrix[3]
+    query = AnalogyQuery(a=a, b=a[None, :], c=np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scores = score_candidates(index, query, "cosadd")
+    assert np.array_equal(scores, np.zeros(10))
+    assert rank_answers(scores, [], {0, 3})[1] == 1
 
 
 def test_pairdist_zero_offset_scores_all_zero():
