@@ -107,7 +107,10 @@ def _write_summary(summary: EvaluationSummary, args: argparse.Namespace) -> None
 def cmd_evaluate(args: argparse.Namespace) -> int:
     emb = load_embeddings(args.embeddings, args.embeddings_format)
     index = build_candidate_index(_read_candidate_terms(args.candidates), emb)
-    logger.info("candidate index: %d terms (%d discarded)", len(index), index.n_discarded)
+    logger.info(
+        "candidate index: %d terms (%d discarded, %d duplicate keys)",
+        len(index), index.n_discarded, index.n_duplicates,
+    )
     records = load_dataset(args.dataset)
     logger.info("loaded %d analogy records from %s", len(records), args.dataset)
     result = evaluate_records(

@@ -247,14 +247,6 @@ def sample_and_bundle(
     return [(s, tuple(sorted(subject_objects[s]))) for s in chosen]
 
 
-def _dedupe(values: list[str]) -> tuple[str, ...]:
-    out: list[str] = []
-    for v in values:
-        if v not in out:
-            out.append(v)
-    return tuple(out)
-
-
 def generate(
     triples: list[Triple],
     lexicon: dict[str, list[str]],
@@ -306,7 +298,7 @@ def generate(
     for relation_id in selected:
         bundles = sample_and_bundle(relation_id, relation_pairs[relation_id], config)
         term_bundles = [
-            (rep(s), _dedupe([rep(o) for o in objects])) for s, objects in bundles
+            (rep(s), tuple(dict.fromkeys(rep(o) for o in objects))) for s, objects in bundles
         ]
         try:
             rel_ids = combine_pairs(relation_id, bundles)

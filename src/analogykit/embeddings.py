@@ -162,15 +162,19 @@ class CandidateIndex:
 
     Lookup goes through :func:`term_key`, so surfaces that normalize to the
     same form resolve to the same entry (first occurrence wins).  Immutable
-    after construction.
+    after construction.  ``n_discarded`` and ``n_duplicates`` count the terms
+    :func:`build_candidate_index` dropped; the constructor sets ``n_duplicates``
+    to 0.
     """
 
     def __init__(self, surfaces: list[str], matrix: np.ndarray, n_discarded: int = 0):
         surfaces = list(surfaces)
         keys = [term_key(surface) for surface in surfaces]
-        self._init(surfaces, np.array(matrix, dtype=np.float64), n_discarded, keys)
+        self._init(surfaces, np.array(matrix, dtype=np.float64), n_discarded, 0, keys)
 
-    def _init(self, surfaces: list[str], matrix: np.ndarray, n_discarded: int, keys: list[str]) -> None:
+    def _init(
+        self, surfaces: list[str], matrix: np.ndarray, n_discarded: int, n_duplicates: int, keys: list[str]
+    ) -> None:
         if matrix.ndim != 2 or matrix.shape[0] != len(surfaces):
             raise ValueError("matrix must have one row per surface")
         if len(surfaces) == 0:
@@ -186,6 +190,7 @@ class CandidateIndex:
         self.surfaces: list[str] = surfaces
         self.matrix: np.ndarray = matrix
         self.n_discarded: int = n_discarded
+        self.n_duplicates: int = n_duplicates
         self._key_to_index: dict[str, int] = {}
         for i, key in enumerate(keys):
             self._key_to_index.setdefault(key, i)
@@ -207,22 +212,25 @@ class CandidateIndex:
 def build_candidate_index(terms: list[str], emb: EmbeddingMatrix) -> CandidateIndex:
     """Compose every candidate term and build the answer index.
 
-    Terms whose component words are all out of vocabulary are discarded and
-    counted in ``n_discarded``.  Duplicate surfaces (after term
-    normalization) collapse to their first occurrence.  Kept entries
-    preserve input order and are L2-normalized.  Each row equals
-    :func:`compose_term`'s vector divided by its ``np.linalg.norm``, bit for
-    bit; only terms with several in-vocabulary words are averaged.
+    Terms whose component words are all out of vocabulary, or whose composed
+    vector is zero, are discarded and counted in ``n_discarded``.  A term
+    whose normalized key an earlier term already had is dropped and counted
+    in ``n_duplicates``, so kept entries, discards and duplicates add up to
+    ``len(terms)``.  Kept entries preserve input order and are L2-normalized.
+    Each row equals :func:`compose_term`'s vector divided by its
+    ``np.linalg.norm``, bit for bit; only terms with several in-vocabulary
+    words are averaged.
     """
     surfaces: list[str] = []
     keys: list[str] = []
     word_rows: list[list[int]] = []
     seen: set[str] = set()
-    n_discarded = 0
+    n_discarded = n_duplicates = 0
     for term in terms:
         words = normalize_term(term)
         key = " ".join(words)
         if key in seen:
+            n_duplicates += 1
             continue
         seen.add(key)
         rows = [emb._row[w] for w in words if w in emb._row]
@@ -253,7 +261,7 @@ def build_candidate_index(terms: list[str], emb: EmbeddingMatrix) -> CandidateIn
     if not surfaces:
         raise ValueError("candidate index is empty: no term had an in-vocabulary word")
     matrix /= norms[:, None]
-    return _adopt(CandidateIndex, surfaces, matrix, n_discarded, keys)
+    return _adopt(CandidateIndex, surfaces, matrix, n_discarded, n_duplicates, keys)
 
 
 def load_embeddings(path: str | Path, format: str = "text") -> EmbeddingMatrix:

@@ -22,7 +22,7 @@ not of the evaluated setting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -129,12 +129,10 @@ def summarize(outcomes: Sequence[QueryOutcome]) -> EvaluationSummary:
         by_relation.setdefault(outcome.relation_id, []).append(outcome)
     relations = tuple(summarize_relation(rid, group) for rid, group in by_relation.items())
 
-    def column(field: str) -> np.ndarray:
-        return np.array([getattr(rel.metrics, field) for rel in relations], dtype=np.float64)
-
-    fields = ("relaxed_accuracy", "mean_ap", "mean_rr", "ambiguity")
-    macro = MetricBundle(**{f: float(column(f).mean()) for f in fields})
-    macro_std = MetricBundle(**{f: float(column(f).std(ddof=0)) for f in fields})
+    # One array per MetricBundle field, in field order.
+    columns = [np.array(c, dtype=np.float64) for c in zip(*(astuple(rel.metrics) for rel in relations))]
+    macro = MetricBundle(*(float(c.mean()) for c in columns))
+    macro_std = MetricBundle(*(float(c.std(ddof=0)) for c in columns))
     return EvaluationSummary(
         relations=relations,
         n_queries=len(outcomes),

@@ -1,15 +1,20 @@
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from analogykit.cli import _read_candidate_terms, main
 from analogykit.datagen import load_allowlist, load_lexicon
 from analogykit.dataset import AnalogyRecord, save_dataset
 from analogykit.embeddings import EmbeddingMatrix, save_embeddings
-from analogykit.reports import load_outcomes_csv
+from analogykit.evaluate import SkippedQuery
+from analogykit.metrics import QueryOutcome
+from analogykit.reports import load_outcomes_csv, write_outcomes_csv
 
 OUTCOME_FILES = ("dataset_ids.tsv", "dataset_terms.tsv", "statistics.tsv", "review.tsv")
 
@@ -128,7 +133,7 @@ def test_evaluate_reports_each_count_once_on_stderr(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
-        "INFO analogykit.cli: candidate index: 4 terms (0 discarded)",
+        "INFO analogykit.cli: candidate index: 4 terms (0 discarded, 0 duplicate keys)",
         f"INFO analogykit.cli: loaded 3 analogy records from {paths['dataset']}",
         "WARNING analogykit.cli: no listed answer of 'man' : 'king' is in the candidate index;"
         " question scores 0",
@@ -424,3 +429,36 @@ def test_load_outcomes_csv_names_the_physical_line(tmp_path):
     outcomes, skipped = load_outcomes_csv(path)
     assert [s.reason for s in skipped] == ["reason over\ntwo lines"]
     assert [o.relaxed_hit for o in outcomes] == [True]
+
+
+def test_report_field_over_the_csv_limit_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "outcomes.csv"
+    header = "status,relation_id,a,c,top_guess,relaxed_hit,average_precision,reciprocal_rank,n_answers_listed,n_answers_scored,reason"
+    path.write_text(f"{header}\nscored,r,a,c,{'d' * 200_000},true,1.0,1.0,1,1,\n", encoding="utf-8")
+    rc = main(["report", "--outcomes", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: {path}:2: ")
+    assert "Traceback" not in captured.err
+
+
+# Commas, quotes, spaces and the line boundaries text mode keeps inside a line.
+CSV_TEXT = st.text(st.sampled_from(list('ab ,"\x85\u2028')) | st.characters(codec="utf-8", exclude_characters="\r\n\x00"))
+COUNTS = st.integers(min_value=0)
+SCORES = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    outcomes=st.lists(st.builds(QueryOutcome, CSV_TEXT, CSV_TEXT, CSV_TEXT, CSV_TEXT, st.booleans(),
+                                SCORES, SCORES, COUNTS, COUNTS), max_size=5),
+    skipped=st.lists(st.builds(SkippedQuery, CSV_TEXT, CSV_TEXT, CSV_TEXT, CSV_TEXT), max_size=5),
+)
+def test_outcomes_csv_round_trips(outcomes, skipped):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+        write_outcomes_csv(outcomes, skipped, first)
+        loaded = load_outcomes_csv(first)
+        assert loaded == (outcomes, skipped)
+        write_outcomes_csv(*loaded, second)
+        assert second.read_bytes() == first.read_bytes()

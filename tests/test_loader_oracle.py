@@ -353,13 +353,14 @@ def test_binary_loader_errors_match_oracle_on_mutated_files(tmp_path, table, dat
 
 
 def reference_index(terms: list[str], emb: EmbeddingMatrix):
-    """Surfaces, rows, discard count and zero-vector terms, one term at a time."""
+    """Surfaces, rows, discard and duplicate counts and zero-vector terms, one term at a time."""
     surfaces, rows, zero_terms = [], [], []
     seen: set[str] = set()
-    n_discarded = 0
+    n_discarded = n_duplicates = 0
     for term in terms:
         key = term_key(term)
         if key in seen:
+            n_duplicates += 1
             continue
         seen.add(key)
         composed = compose_term(term, emb)
@@ -373,7 +374,7 @@ def reference_index(terms: list[str], emb: EmbeddingMatrix):
             continue
         surfaces.append(term)
         rows.append(composed.vector / norm)
-    return surfaces, rows, n_discarded, zero_terms
+    return surfaces, rows, n_discarded, n_duplicates, zero_terms
 
 
 class _Collect(logging.Handler):
@@ -418,7 +419,7 @@ def test_build_candidate_index_matches_per_term_reference(terms, seed, dim, zero
     vectors[6] = -vectors[5]  # "up down" composes to the zero vector
     emb = EmbeddingMatrix(WORDS[:7], vectors)
 
-    surfaces, rows, n_discarded, zero_terms = reference_index(terms, emb)
+    surfaces, rows, n_discarded, n_duplicates, zero_terms = reference_index(terms, emb)
     handler = _Collect()
     logger = logging.getLogger("analogykit.embeddings")
     logger.addHandler(handler)
@@ -433,6 +434,8 @@ def test_build_candidate_index_matches_per_term_reference(terms, seed, dim, zero
 
     assert index.surfaces == surfaces
     assert index.n_discarded == n_discarded
+    assert index.n_duplicates == n_duplicates
+    assert len(index) + n_discarded + n_duplicates == len(terms)
     expected = np.vstack(rows)
     assert index.matrix.shape == expected.shape
     assert np.array_equal(index.matrix.view(np.uint64), expected.view(np.uint64))
