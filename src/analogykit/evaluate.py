@@ -1,18 +1,21 @@
 """End-to-end evaluation of analogy datasets against an embedding space.
 
-For each record the pipeline composes the query-side vectors (``a``, the
-example terms the chosen setting keeps, and ``c``), scores every candidate,
-and derives per-query metrics.  A question is skipped, never silently
-dropped or failed, when it cannot be scored at all:
+Terms are resolved once per run: each distinct term the setting reads
+(``a``, the example terms it keeps, and ``c``) is composed into its query
+vector or a skip reason, and each distinct query and answer term is looked
+up in the candidate index.  Each question then scores every candidate from
+those tables and derives per-query metrics.  A question is skipped, never
+silently dropped or failed, when it cannot be scored at all:
 
 * a query term has no in-vocabulary component words;
 * a query term composes to an exact zero vector that cannot be normalized;
 * every candidate is excluded by the query's own terms.
 
 Skips are returned with their reasons so the caller can report them and
-set its exit status accordingly.  A question whose listed answers are all
-missing from the candidate index is still scored: it counts a miss with
-average precision and reciprocal rank 0.0, and its outcome shows
+set its exit status accordingly; a question reports its first failing term
+in the order ``a``, examples, ``c``.  A question whose listed answers are
+all missing from the candidate index is still scored: it counts a miss
+with average precision and reciprocal rank 0.0, and its outcome shows
 ``n_answers_scored == 0``.
 
 Records are evaluated one after another, and outcomes keep dataset order.
@@ -67,67 +70,52 @@ class EvaluationResult:
         return len(self.outcomes)
 
 
-class _SkipQuery(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
-def _compose_query_vector(term: str, emb: EmbeddingMatrix, normalize: bool) -> np.ndarray:
-    composed = compose_term(term, emb)
-    if composed.vector is None:
-        raise _SkipQuery(f"term {term!r} has no in-vocabulary words")
-    vec = composed.vector
+def _resolve(term: str, emb: EmbeddingMatrix, normalize: bool) -> np.ndarray | str:
+    """``term``'s query vector, or the reason a question reading it is skipped."""
+    vec = compose_term(term, emb).vector
+    if vec is None:
+        return f"term {term!r} has no in-vocabulary words"
     if normalize:
         norm = np.linalg.norm(vec)
         if norm == 0.0:
-            raise _SkipQuery(f"term {term!r} composed to a zero vector")
+            return f"term {term!r} composed to a zero vector"
         vec = vec / norm
     return vec
 
 
 def _evaluate_one(
     record: AnalogyRecord,
-    setting: str,
-    emb: EmbeddingMatrix,
+    reduced: AnalogyRecord,
+    vectors: dict[str, np.ndarray | str],
+    positions: dict[str, int | None],
     index: CandidateIndex,
     method: str,
     epsilon: float,
     shift: bool,
-    normalize: bool,
-) -> QueryOutcome:
-    reduced = apply_setting(record, setting)
-    a_vec = _compose_query_vector(reduced.a, emb, normalize)
-    b_rows = np.vstack([_compose_query_vector(b, emb, normalize) for b in reduced.b_list])
-    c_vec = _compose_query_vector(reduced.c, emb, normalize)
-
-    answer_indices: list[int] = []
-    for d in reduced.d_list:
-        i = index.index_of(d)
-        if i is not None and i not in answer_indices:
-            answer_indices.append(i)
-
-    excluded = {
-        i
-        for term in (reduced.a, *reduced.b_list, reduced.c)
-        if (i := index.index_of(term)) is not None
-    }
-    query = AnalogyQuery(a=a_vec, b=b_rows, c=c_vec)
+) -> QueryOutcome | str:
+    """Score one question from the term tables, or return why it is skipped."""
+    query_terms = (reduced.a, *reduced.b_list, reduced.c)
+    resolved = [vectors[term] for term in query_terms]
+    for vec in resolved:
+        if isinstance(vec, str):
+            return vec
+    excluded = {i for term in query_terms if (i := positions[term]) is not None}
+    if len(excluded) == len(index):
+        return "every candidate is excluded"
+    answers = list(dict.fromkeys(i for d in reduced.d_list if (i := positions[d]) is not None))
+    query = AnalogyQuery(a=resolved[0], b=np.vstack(resolved[1:-1]), c=resolved[-1])
     scores = score_candidates(index, query, method, epsilon=epsilon, shift=shift)
-    try:
-        answer_positions, top = rank_answers(scores, answer_indices, excluded)
-    except ValueError:
-        raise _SkipQuery("every candidate is excluded") from None
+    answer_positions, top = rank_answers(scores, answers, excluded)
     return QueryOutcome(
         relation_id=record.relation_id,
         a=record.a,
         c=record.c,
         top_guess=index.surfaces[top],
-        relaxed_hit=top in answer_indices,
+        relaxed_hit=top in answers,
         average_precision=average_precision(answer_positions),
         reciprocal_rank=reciprocal_rank(answer_positions),
         n_answers_listed=len(record.d_list),
-        n_answers_scored=len(answer_indices),
+        n_answers_scored=len(answers),
     )
 
 
@@ -162,15 +150,20 @@ def evaluate_records(
     if emb.dim != index.dim:
         raise ValueError(f"embedding dimension {emb.dim} != candidate index dimension {index.dim}")
 
+    reduced = [apply_setting(record, setting) for record in records]
+    query_terms = dict.fromkeys(term for r in reduced for term in (r.a, *r.b_list, r.c))
+    vectors = {term: _resolve(term, emb, normalize_queries) for term in query_terms}
+    answer_terms = {d for r in reduced for d in r.d_list}
+    positions = {term: index.index_of(term) for term in query_terms.keys() | answer_terms}
+
     outcomes: list[QueryOutcome] = []
     skipped: list[SkippedQuery] = []
-    for record in records:
-        try:
-            outcomes.append(
-                _evaluate_one(record, setting, emb, index, method, epsilon, shift, normalize_queries)
-            )
-        except _SkipQuery as skip:
-            skipped.append(SkippedQuery(record.relation_id, record.a, record.c, skip.reason))
+    for record, r in zip(records, reduced):
+        outcome = _evaluate_one(record, r, vectors, positions, index, method, epsilon, shift)
+        if isinstance(outcome, str):
+            skipped.append(SkippedQuery(record.relation_id, record.a, record.c, outcome))
+        else:
+            outcomes.append(outcome)
 
     summary = summarize(outcomes) if outcomes else None
     return EvaluationResult(tuple(outcomes), tuple(skipped), summary)

@@ -121,12 +121,15 @@ def load_outcomes_csv(path: str | Path) -> tuple[list[QueryOutcome], list[Skippe
     """Read back a file written by :func:`write_outcomes_csv`.
 
     Errors name the file and the line on which the bad record ends, also
-    for a line the ``csv`` module rejects (a field over its size limit, or
-    a NUL byte before Python 3.11).
+    for a line the ``csv`` module rejects (a NUL byte before Python 3.11).
+    A field may be as long as the file: the ``csv`` module's process-wide
+    field size limit is raised to the file size for the read and restored
+    afterwards.
     """
     outcomes: list[QueryOutcome] = []
     skipped: list[SkippedQuery] = []
     reader = csv.reader(open_text(path))
+    limit = csv.field_size_limit(max(csv.field_size_limit(), Path(path).stat().st_size))
     try:
         header = next(reader, None)
         if header == _OUTCOME_HEADER:
@@ -143,6 +146,8 @@ def load_outcomes_csv(path: str | Path) -> tuple[list[QueryOutcome], list[Skippe
                     raise ValueError(f"unknown status {cells['status']!r}")
     except (csv.Error, ValueError) as exc:
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
     if header != _OUTCOME_HEADER:
         raise ValueError(f"{path}: not an outcomes file (unexpected header)")
     return outcomes, skipped

@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 import tempfile
@@ -19,9 +20,9 @@ from analogykit.reports import load_outcomes_csv, write_outcomes_csv
 OUTCOME_FILES = ("dataset_ids.tsv", "dataset_terms.tsv", "statistics.tsv", "review.tsv")
 
 
-def write_royal_inputs(tmp_path, records):
+def write_royal_inputs(tmp_path, records, queen="queen"):
     emb = EmbeddingMatrix(
-        ["man", "woman", "king", "queen"],
+        ["man", "woman", "king", queen],
         np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]]),
     )
     paths = {
@@ -30,7 +31,7 @@ def write_royal_inputs(tmp_path, records):
         "dataset": tmp_path / "dataset.tsv",
     }
     save_embeddings(emb, paths["embeddings"], "text")
-    paths["candidates"].write_text("man\nqueen\nking\nwoman\n", encoding="utf-8")
+    paths["candidates"].write_text(f"man\n{queen}\nking\nwoman\n", encoding="utf-8")
     save_dataset(records, paths["dataset"])
     return {name: str(path) for name, path in paths.items()}
 
@@ -220,14 +221,8 @@ def test_generate_allowlist_can_reject_everything(tmp_path, capsys):
     assert "no relations selected" in captured.err
 
 
-def test_report_round_trips_evaluate(tmp_path, capsys):
-    records = [
-        royal_record(),
-        royal_record(a="woman"),
-        royal_record(a="emperor"),
-        AnalogyRecord(relation_id="self", a="king", b_list=("king",), c="queen", d_list=("woman",)),
-    ]
-    paths = write_royal_inputs(tmp_path, records)
+def evaluate_then_report(tmp_path, capsys, paths):
+    """Run ``evaluate`` and then ``report`` on its outcomes file; return evaluate's exit code."""
     outcomes_path = tmp_path / "outcomes.csv"
     eval_csv = tmp_path / "eval.csv"
     rc = main(
@@ -238,14 +233,45 @@ def test_report_round_trips_evaluate(tmp_path, capsys):
             "--out-csv", str(eval_csv),
         )
     )
-    assert rc == 2
     eval_out = capsys.readouterr().out
     report_csv = tmp_path / "report.csv"
-    rc = main(["report", "--outcomes", str(outcomes_path), "--out-csv", str(report_csv)])
-    report_out = capsys.readouterr().out
-    assert rc == 0
-    assert report_out == eval_out
+    assert main(["report", "--outcomes", str(outcomes_path), "--out-csv", str(report_csv)]) == 0
+    assert capsys.readouterr().out == eval_out
     assert report_csv.read_bytes() == eval_csv.read_bytes()
+    return rc
+
+
+def test_report_round_trips_evaluate(tmp_path, capsys):
+    records = [
+        royal_record(),
+        royal_record(a="woman"),
+        royal_record(a="emperor"),
+        AnalogyRecord(relation_id="self", a="king", b_list=("king",), c="queen", d_list=("woman",)),
+    ]
+    assert evaluate_then_report(tmp_path, capsys, write_royal_inputs(tmp_path, records)) == 2
+
+
+# Longer than the csv module's default field size limit of 131 072 characters.
+LONG = "x" * 140_000
+
+
+def test_report_reads_back_a_long_top_guess(tmp_path, capsys):
+    records = [AnalogyRecord(relation_id="royal", a="man", b_list=("woman",), c="king", d_list=(LONG,))]
+    limit = csv.field_size_limit()
+    assert evaluate_then_report(tmp_path, capsys, write_royal_inputs(tmp_path, records, queen=LONG)) == 0
+    (outcome,), _ = load_outcomes_csv(tmp_path / "outcomes.csv")
+    assert outcome.top_guess == LONG
+    assert csv.field_size_limit() == limit
+
+
+def test_report_reads_back_a_long_query_term(tmp_path, capsys):
+    records = [royal_record(), AnalogyRecord(relation_id="royal", a="man", b_list=("woman",), c=LONG, d_list=("queen",))]
+    limit = csv.field_size_limit()
+    assert evaluate_then_report(tmp_path, capsys, write_royal_inputs(tmp_path, records)) == 2
+    _, (skip,) = load_outcomes_csv(tmp_path / "outcomes.csv")
+    assert skip.c == LONG
+    assert skip.reason == f"term {LONG!r} has no in-vocabulary words"
+    assert csv.field_size_limit() == limit
 
 
 def test_report_rejects_malformed_file(tmp_path, capsys):
@@ -431,15 +457,19 @@ def test_load_outcomes_csv_names_the_physical_line(tmp_path):
     assert [o.relaxed_hit for o in outcomes] == [True]
 
 
-def test_report_field_over_the_csv_limit_names_file_and_line(tmp_path, capsys):
+def test_load_outcomes_csv_lifts_the_field_limit_only_while_it_reads(tmp_path):
     path = tmp_path / "outcomes.csv"
     header = "status,relation_id,a,c,top_guess,relaxed_hit,average_precision,reciprocal_rank,n_answers_listed,n_answers_scored,reason"
-    path.write_text(f"{header}\nscored,r,a,c,{'d' * 200_000},true,1.0,1.0,1,1,\n", encoding="utf-8")
-    rc = main(["report", "--outcomes", str(path)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err.startswith(f"error: {path}:2: ")
-    assert "Traceback" not in captured.err
+    row = f"scored,r,a,c,{'d' * 200_000},true,1.0,1.0,1,1,\n"
+    limit = csv.field_size_limit()
+    path.write_text(f"{header}\n{row}", encoding="utf-8")
+    (outcome,), _ = load_outcomes_csv(path)
+    assert outcome.top_guess == "d" * 200_000
+    assert csv.field_size_limit() == limit
+    path.write_text(f"{header}\n{row}{row.replace('true', 'maybe')}", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"outcomes\.csv:3: bad relaxed_hit 'maybe'"):
+        load_outcomes_csv(path)
+    assert csv.field_size_limit() == limit
 
 
 # Commas, quotes, spaces and the line boundaries text mode keeps inside a line.

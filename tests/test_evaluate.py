@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from analogykit.dataset import AnalogyRecord
-from analogykit.embeddings import EmbeddingMatrix, build_candidate_index
-from analogykit.evaluate import evaluate_records
-from analogykit.metrics import MetricBundle
-from analogykit.scoring import DEFAULT_EPSILON
+import analogykit.evaluate
+from analogykit.dataset import SETTINGS, AnalogyRecord, apply_setting
+from analogykit.embeddings import EmbeddingMatrix, build_candidate_index, compose_term
+from analogykit.evaluate import SkippedQuery, evaluate_records
+from analogykit.metrics import MetricBundle, QueryOutcome, average_precision, reciprocal_rank, summarize
+from analogykit.scoring import DEFAULT_EPSILON, METHODS, AnalogyQuery, rank_candidates, score_candidates
 
 
 def record(a: str, b: tuple[str, ...], c: str, d: tuple[str, ...], rid: str = "R") -> AnalogyRecord:
@@ -247,3 +252,156 @@ def test_evaluate_rejects_dimension_mismatch(royal_space):
             setting="single",
             method="cosadd",
         )
+
+
+@pytest.fixture
+def compose_log(monkeypatch):
+    """The terms ``evaluate_records`` composes, one entry per call."""
+    calls: list[str] = []
+
+    def counting(term, emb):
+        calls.append(term)
+        return compose_term(term, emb)
+
+    monkeypatch.setattr(analogykit.evaluate, "compose_term", counting)
+    return calls
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_each_distinct_term_the_setting_reads_is_composed_once(royal_space, compose_log, setting):
+    emb, index = royal_space
+    records = [
+        record("man", ("woman", "queen"), "king", ("queen",)),
+        record("king", ("queen", "duke"), "man", ("woman", "king")),
+        record("man", ("woman",), "emperor", ("queen",)),
+        record("emperor", ("king", "woman"), "queen", ("man",)),
+    ]
+    evaluate_records(records, emb, index, setting=setting, method="cosmul")
+    read = {t for r in records for t in (r.a, *apply_setting(r, setting).b_list, r.c)}
+    assert Counter(compose_log) == Counter(read)
+
+
+@pytest.mark.parametrize(
+    "setting, b_list, d_list",
+    [
+        ("single", ("woman", "duchess"), ("queen",)),
+        ("multi", ("woman", "duchess"), ("queen",)),
+        ("single", ("woman",), ("queen", "duchess")),
+    ],
+)
+def test_a_term_the_setting_drops_neither_skips_nor_is_composed(royal_space, compose_log, setting, b_list, d_list):
+    emb, index = royal_space
+    result = evaluate_records(
+        [record("man", b_list, "king", d_list)], emb, index, setting=setting, method="cosadd"
+    )
+    assert result.skipped == ()
+    assert result.outcomes[0].reciprocal_rank == 1.0
+    assert "duchess" not in compose_log
+
+
+def test_query_term_composing_to_zero_is_scored_without_normalization():
+    emb = EmbeddingMatrix(
+        ["x", "y", "bravo", "gamma"],
+        np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    )
+    index = build_candidate_index(["bravo", "gamma", "y"], emb)
+    records = [record("x y", ("bravo",), "gamma", ("y",))]
+    for method in METHODS:
+        result = evaluate_records(
+            records, emb, index, setting="single", method=method, normalize_queries=False
+        )
+        assert result.skipped == ()
+        assert result.n_scored == 1
+
+
+def test_a_term_shared_by_a_skipped_and_a_scored_question(royal_space):
+    emb, index = royal_space
+    scored = record("man", ("woman",), "king", ("queen",))
+    skipped = record("man", ("woman",), "emperor", ("queen",))
+    alone = evaluate_records([scored], emb, index, setting="multi", method="cosadd")
+    for records in ([skipped, scored], [scored, skipped]):
+        result = evaluate_records(records, emb, index, setting="multi", method="cosadd")
+        assert result.outcomes == alone.outcomes
+        assert result.skipped == (SkippedQuery("R", "man", "emperor", "term 'emperor' has no in-vocabulary words"),)
+
+
+def per_question(records, emb, index, *, setting, method, shift, normalize_queries):
+    """A plain loop: compose, score and rank each question on its own."""
+    outcomes, skipped = [], []
+    for rec in records:
+        r = apply_setting(rec, setting)
+        terms = (r.a, *r.b_list, r.c)
+        vectors, reason = [], None
+        for term in terms:
+            vec = compose_term(term, emb).vector
+            if vec is None:
+                reason = f"term {term!r} has no in-vocabulary words"
+                break
+            if normalize_queries:
+                if np.linalg.norm(vec) == 0.0:
+                    reason = f"term {term!r} composed to a zero vector"
+                    break
+                vec = vec / np.linalg.norm(vec)
+            vectors.append(vec)
+        if reason is None:
+            query = AnalogyQuery(a=vectors[0], b=np.vstack(vectors[1:-1]), c=vectors[-1])
+            scores = score_candidates(index, query, method, shift=shift)
+            excluded = {index.index_of(t) for t in terms} - {None}
+            try:
+                top = int(rank_candidates(scores, excluded)[0])
+            except ValueError:
+                reason = "every candidate is excluded"
+        if reason is not None:
+            skipped.append(SkippedQuery(rec.relation_id, rec.a, rec.c, reason))
+            continue
+        answers = []
+        for d in r.d_list:
+            i = index.index_of(d)
+            if i is not None and i not in answers:
+                answers.append(i)
+        full = rank_candidates(scores).tolist()
+        positions = [full.index(i) + 1 for i in answers]
+        outcomes.append(
+            QueryOutcome(rec.relation_id, rec.a, rec.c, index.surfaces[top], top in answers,
+                         average_precision(positions), reciprocal_rank(positions), len(rec.d_list), len(answers))
+        )
+    return tuple(outcomes), tuple(skipped)
+
+
+# A small space whose terms recur across questions: "p n" composes to zero,
+# "zz" and "ZZ" are out of vocabulary, "t0 zz" composes like "t0" (so the two
+# candidates tie), "T1" and "t1" share an index entry, and t2-t4 are in
+# vocabulary but not candidates.  A question reading all three candidates
+# excludes every one.
+_TOKENS = ["t0", "t1", "t2", "t3", "t4", "p", "n"]
+_VECTORS = np.array(
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, -0.8], [-1.0, 0.5, 0.5], [1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]]
+)
+_CANDIDATES = ["t0", "T1", "t0 zz"]
+_TERMS = st.sampled_from(["t0", "t1", "t2", "t3", "t4", "p n", "zz", "ZZ", "t1 t2", "t0 zz", "T1"])
+
+
+@st.composite
+def _records(draw):
+    a, c = draw(st.lists(_TERMS, min_size=2, max_size=2, unique=True))
+    return AnalogyRecord(
+        relation_id=draw(st.sampled_from(["R0", "R1"])),
+        a=a,
+        b_list=tuple(draw(st.lists(_TERMS, min_size=1, max_size=3, unique=True))),
+        c=c,
+        d_list=tuple(draw(st.lists(_TERMS, min_size=1, max_size=3, unique=True))),
+    )
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("setting", SETTINGS)
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(_records(), min_size=1, max_size=10), shift=st.booleans(), normalize_queries=st.booleans())
+def test_evaluate_matches_a_per_question_loop(setting, method, records, shift, normalize_queries):
+    emb = EmbeddingMatrix(_TOKENS, _VECTORS)
+    index = build_candidate_index(_CANDIDATES, emb)
+    options = dict(setting=setting, method=method, shift=shift, normalize_queries=normalize_queries)
+    result = evaluate_records(records, emb, index, **options)
+    expected = per_question(records, emb, index, **options)
+    assert (result.outcomes, result.skipped) == expected
+    assert result.summary == (summarize(list(expected[0])) if expected[0] else None)
