@@ -63,8 +63,8 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         if self.min_term_freq < 0 or self.min_one_to_one < 0:
             raise ValueError("filter thresholds must be non-negative")
-        if self.pairs_per_relation < 1:
-            raise ValueError("pairs_per_relation must be positive")
+        if self.pairs_per_relation < 2:
+            raise ValueError("pairs_per_relation must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ class GenerationResult:
     term_records: tuple[AnalogyRecord, ...]
     stats: tuple[RelationStats, ...]
     review: tuple[ReviewRow, ...]
-    representatives: dict[str, str]
 
 
 def load_triples(path: str | Path) -> list[Triple]:
@@ -297,9 +296,16 @@ def generate(
     stats: list[RelationStats] = []
     for relation_id in selected:
         bundles = sample_and_bundle(relation_id, relation_pairs[relation_id], config)
-        term_bundles = [
-            (rep(s), tuple(dict.fromkeys(rep(o) for o in objects))) for s, objects in bundles
-        ]
+        term_bundles = []
+        subject_of: dict[str, str] = {}
+        for s, objects in bundles:
+            term = rep(s)
+            if (other := subject_of.setdefault(term, s)) != s:
+                raise GenerationError(
+                    f"relation {relation_id!r}: concepts {min(other, s)!r} and {max(other, s)!r} "
+                    f"share the representative term {term!r}"
+                )
+            term_bundles.append((term, tuple(dict.fromkeys(rep(o) for o in objects))))
         try:
             rel_ids = combine_pairs(relation_id, bundles)
             rel_terms = combine_pairs(relation_id, term_bundles)
@@ -323,7 +329,6 @@ def generate(
         term_records=tuple(term_records),
         stats=tuple(stats),
         review=tuple(review),
-        representatives=representatives,
     )
 
 

@@ -1,8 +1,10 @@
 """Analogy question records, evaluation settings, and TSV (de)serialization.
 
 A record asks ``a : b :: c : ?`` where several example terms may stand in
-for ``b`` and several answers may be correct.  The three evaluation
-settings reduce the record before scoring:
+for ``b`` and several answers may be correct.  ``SETTINGS`` maps each
+evaluation setting to ``(n_b, n_d)``, and the setting reads the prefixes
+``b_list[:n_b]`` and ``d_list[:n_d]`` of the loaded record in place
+(``None`` keeps the whole list):
 
 * ``single``: first example term, first answer only.
 * ``multi``: first example term, all answers.
@@ -17,12 +19,12 @@ terms hold no tab, ``|``, ``\\n`` or ``\\r`` and no relation id starts with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .textio import read_tsv
 
-SETTINGS = ("single", "multi", "all-info")
+SETTINGS = {"single": (1, 1), "multi": (1, None), "all-info": (None, None)}
 
 
 class AnalogyFormatError(ValueError):
@@ -78,17 +80,6 @@ class AnalogyRecord:
         _check_terms("d_list", self.d_list)
         if self.a == self.c:
             raise ValueError(f"a and c are the same term {self.a!r}")
-
-
-def apply_setting(record: AnalogyRecord, setting: str) -> AnalogyRecord:
-    """Reduce ``record`` to the example terms and answers the setting allows."""
-    if setting == "single":
-        return replace(record, b_list=record.b_list[:1], d_list=record.d_list[:1])
-    if setting == "multi":
-        return replace(record, b_list=record.b_list[:1])
-    if setting == "all-info":
-        return record
-    raise ValueError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
 
 
 def load_dataset(path: str | Path) -> list[AnalogyRecord]:

@@ -1,10 +1,12 @@
 """End-to-end evaluation of analogy datasets against an embedding space.
 
-Terms are resolved once per run: each distinct term the setting reads
-(``a``, the example terms it keeps, and ``c``) is composed into its query
-vector or a skip reason, and each distinct query and answer term is looked
-up in the candidate index.  Each question then scores every candidate from
-those tables and derives per-query metrics.  A question is skipped, never
+A setting reads prefixes of each loaded record's example and answer lists
+in place (``dataset.SETTINGS``).  Terms are resolved once per run: each
+distinct term the setting reads (``a``, the example terms it keeps, and
+``c``) is composed into its query vector or a skip reason, and each
+distinct query and answer term is looked up in the candidate index.  One
+loop over the records then scores every candidate for each question from
+those tables and derives its metrics.  A question is skipped, never
 silently dropped or failed, when it cannot be scored at all:
 
 * a query term has no in-vocabulary component words;
@@ -16,9 +18,7 @@ set its exit status accordingly; a question reports its first failing term
 in the order ``a``, examples, ``c``.  A question whose listed answers are
 all missing from the candidate index is still scored: it counts a miss
 with average precision and reciprocal rank 0.0, and its outcome shows
-``n_answers_scored == 0``.
-
-Records are evaluated one after another, and outcomes keep dataset order.
+``n_answers_scored == 0``.  Outcomes keep dataset order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SETTINGS, AnalogyRecord, apply_setting
+from .dataset import SETTINGS, AnalogyRecord
 from .embeddings import CandidateIndex, EmbeddingMatrix, compose_term
 from .metrics import (
     EvaluationSummary,
@@ -83,42 +83,6 @@ def _resolve(term: str, emb: EmbeddingMatrix, normalize: bool) -> np.ndarray | s
     return vec
 
 
-def _evaluate_one(
-    record: AnalogyRecord,
-    reduced: AnalogyRecord,
-    vectors: dict[str, np.ndarray | str],
-    positions: dict[str, int | None],
-    index: CandidateIndex,
-    method: str,
-    epsilon: float,
-    shift: bool,
-) -> QueryOutcome | str:
-    """Score one question from the term tables, or return why it is skipped."""
-    query_terms = (reduced.a, *reduced.b_list, reduced.c)
-    resolved = [vectors[term] for term in query_terms]
-    for vec in resolved:
-        if isinstance(vec, str):
-            return vec
-    excluded = {i for term in query_terms if (i := positions[term]) is not None}
-    if len(excluded) == len(index):
-        return "every candidate is excluded"
-    answers = list(dict.fromkeys(i for d in reduced.d_list if (i := positions[d]) is not None))
-    query = AnalogyQuery(a=resolved[0], b=np.vstack(resolved[1:-1]), c=resolved[-1])
-    scores = score_candidates(index, query, method, epsilon=epsilon, shift=shift)
-    answer_positions, top = rank_answers(scores, answers, excluded)
-    return QueryOutcome(
-        relation_id=record.relation_id,
-        a=record.a,
-        c=record.c,
-        top_guess=index.surfaces[top],
-        relaxed_hit=top in answers,
-        average_precision=average_precision(answer_positions),
-        reciprocal_rank=reciprocal_rank(answer_positions),
-        n_answers_listed=len(record.d_list),
-        n_answers_scored=len(answers),
-    )
-
-
 def evaluate_records(
     records: list[AnalogyRecord],
     emb: EmbeddingMatrix,
@@ -140,7 +104,7 @@ def evaluate_records(
     no effect, since records are always evaluated sequentially.
     """
     if setting not in SETTINGS:
-        raise ValueError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
+        raise ValueError(f"unknown setting {setting!r}; expected one of {tuple(SETTINGS)}")
     if method not in METHODS:
         raise ValueError(f"unknown scoring method {method!r}; expected one of {METHODS}")
     if workers < 1:
@@ -150,20 +114,42 @@ def evaluate_records(
     if emb.dim != index.dim:
         raise ValueError(f"embedding dimension {emb.dim} != candidate index dimension {index.dim}")
 
-    reduced = [apply_setting(record, setting) for record in records]
-    query_terms = dict.fromkeys(term for r in reduced for term in (r.a, *r.b_list, r.c))
+    n_b, n_d = SETTINGS[setting]
+    query_terms = dict.fromkeys(t for r in records for t in (r.a, *r.b_list[:n_b], r.c))
     vectors = {term: _resolve(term, emb, normalize_queries) for term in query_terms}
-    answer_terms = {d for r in reduced for d in r.d_list}
+    answer_terms = {d for r in records for d in r.d_list[:n_d]}
     positions = {term: index.index_of(term) for term in query_terms.keys() | answer_terms}
 
     outcomes: list[QueryOutcome] = []
     skipped: list[SkippedQuery] = []
-    for record, r in zip(records, reduced):
-        outcome = _evaluate_one(record, r, vectors, positions, index, method, epsilon, shift)
-        if isinstance(outcome, str):
-            skipped.append(SkippedQuery(record.relation_id, record.a, record.c, outcome))
-        else:
-            outcomes.append(outcome)
+    for r in records:
+        terms = (r.a, *r.b_list[:n_b], r.c)
+        resolved = [vectors[term] for term in terms]
+        reason = next((vec for vec in resolved if isinstance(vec, str)), None)
+        if reason is None:
+            excluded = {i for term in terms if (i := positions[term]) is not None}
+            if len(excluded) == len(index):
+                reason = "every candidate is excluded"
+        if reason is not None:
+            skipped.append(SkippedQuery(r.relation_id, r.a, r.c, reason))
+            continue
+        answers = list(dict.fromkeys(i for d in r.d_list[:n_d] if (i := positions[d]) is not None))
+        query = AnalogyQuery(a=resolved[0], b=np.vstack(resolved[1:-1]), c=resolved[-1])
+        scores = score_candidates(index, query, method, epsilon=epsilon, shift=shift)
+        answer_positions, top = rank_answers(scores, answers, excluded)
+        outcomes.append(
+            QueryOutcome(
+                relation_id=r.relation_id,
+                a=r.a,
+                c=r.c,
+                top_guess=index.surfaces[top],
+                relaxed_hit=top in answers,
+                average_precision=average_precision(answer_positions),
+                reciprocal_rank=reciprocal_rank(answer_positions),
+                n_answers_listed=len(r.d_list),
+                n_answers_scored=len(answers),
+            )
+        )
 
     summary = summarize(outcomes) if outcomes else None
     return EvaluationResult(tuple(outcomes), tuple(skipped), summary)

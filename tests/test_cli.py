@@ -358,6 +358,27 @@ def test_generate_lexicon_term_breaking_the_term_rule_names_the_concept(tmp_path
     assert "Traceback" not in captured.err
 
 
+def test_generate_rejects_fewer_than_two_pairs_per_relation(tmp_path, capsys):
+    paths = write_generation_inputs(tmp_path)
+    rc = main(generate_args(paths, tmp_path / "out", "--pairs-per-relation", "1"))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: pairs_per_relation must be at least 2\n"
+    assert captured.out == ""
+
+
+def test_generate_concepts_sharing_a_representative_term_are_named(tmp_path, capsys):
+    paths = write_generation_inputs(tmp_path)
+    lexicon, freqs = Path(paths["lexicon"]), Path(paths["frequencies"])
+    text = lexicon.read_text(encoding="utf-8").replace("\tsubj 0\n", "\tsame\n").replace("\tsubj 1\n", "\tsame\n")
+    lexicon.write_text(text, encoding="utf-8")
+    freqs.write_text(freqs.read_text(encoding="utf-8") + "same\t30\n", encoding="utf-8")
+    rc = main(generate_args(paths, tmp_path / "out", "--pairs-per-relation", "12"))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: relation 'rel0': concepts 's0' and 's1' share the representative term 'same'\n"
+
+
 @pytest.mark.parametrize(
     "command, which, content, extra, reason",
     [

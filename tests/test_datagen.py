@@ -190,6 +190,12 @@ def test_too_few_subjects_names_the_relation():
         sample_and_bundle("Rx", pairs, GenerationConfig(pairs_per_relation=3))
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_config_needs_two_pairs_per_relation(n):
+    with pytest.raises(ValueError, match="pairs_per_relation must be at least 2"):
+        GenerationConfig(pairs_per_relation=n)
+
+
 # ----------------------------------------------------------------- pipeline
 
 
@@ -220,10 +226,11 @@ def test_generate_renders_ids_and_terms_in_parallel():
     config = GenerationConfig(min_one_to_one=5, pairs_per_relation=5, rng_seed=0)
     result = generate(triples, lexicon, freqs, config)
     assert len(result.id_records) == len(result.term_records) == 20
+    rendered = {concept: term for concept, (term,) in lexicon.items()}
     for id_rec, term_rec in zip(result.id_records, result.term_records):
-        assert term_rec.a == result.representatives[id_rec.a]
-        assert term_rec.c == result.representatives[id_rec.c]
-        assert term_rec.d_list == tuple(result.representatives[d] for d in id_rec.d_list)
+        assert term_rec.a == rendered[id_rec.a]
+        assert term_rec.c == rendered[id_rec.c]
+        assert term_rec.d_list == tuple(rendered[d] for d in id_rec.d_list)
 
 
 def test_generate_uses_highest_count_term_for_rendering():
@@ -233,7 +240,8 @@ def test_generate_uses_highest_count_term_for_rendering():
     freqs["frequent alias"] = 90
     config = GenerationConfig(min_one_to_one=3, pairs_per_relation=3, rng_seed=0)
     result = generate(triples, lexicon, freqs, config)
-    assert result.representatives["S0x0"] == "frequent alias"
+    rendered = {t.a for i, t in zip(result.id_records, result.term_records) if i.a == "S0x0"}
+    assert rendered == {"frequent alias"}
 
 
 def test_generate_rejects_colliding_subject_terms():
@@ -242,7 +250,8 @@ def test_generate_rejects_colliding_subject_terms():
     lexicon["S0x1"] = ["shared name"]
     freqs["shared name"] = 100
     config = GenerationConfig(min_one_to_one=3, pairs_per_relation=3, rng_seed=0)
-    with pytest.raises(GenerationError, match="duplicate subjects"):
+    message = "relation 'R00': concepts 'S0x0' and 'S0x1' share the representative term 'shared name'"
+    with pytest.raises(GenerationError, match=re.escape(message)):
         generate(triples, lexicon, freqs, config)
 
 
@@ -252,8 +261,8 @@ def test_generate_respects_frequency_filter():
     freqs["subj 0 0"] = 3
     config = GenerationConfig(min_one_to_one=5, pairs_per_relation=5, rng_seed=0)
     result = generate(triples, lexicon, freqs, config)
-    assert "S0x0" not in result.representatives
     assert all(rec.a != "S0x0" for rec in result.id_records)
+    assert all(rec.a != "subj 0 0" for rec in result.term_records)
 
 
 def test_generate_errors_when_allowlist_removes_everything():

@@ -8,7 +8,6 @@ from analogykit.dataset import (
     AnalogyFormatError,
     AnalogyRecord,
     ambiguity,
-    apply_setting,
     combine_pairs,
     load_dataset,
     save_dataset,
@@ -64,33 +63,6 @@ def test_record_rejects_relation_id_read_as_a_comment():
 def test_record_preserves_list_order():
     rec = make_record(d_list=("z answer", "a answer"))
     assert rec.d_list == ("z answer", "a answer")
-
-
-# ----------------------------------------------------------------- settings
-
-
-def test_single_setting_keeps_first_of_each_list():
-    rec = make_record(b_list=("b1", "b2"), d_list=("d1", "d2"))
-    reduced = apply_setting(rec, "single")
-    assert reduced.b_list == ("b1",)
-    assert reduced.d_list == ("d1",)
-
-
-def test_multi_setting_keeps_all_answers():
-    rec = make_record(b_list=("b1", "b2"), d_list=("d1", "d2"))
-    reduced = apply_setting(rec, "multi")
-    assert reduced.b_list == ("b1",)
-    assert reduced.d_list == ("d1", "d2")
-
-
-def test_all_info_setting_is_identity():
-    rec = make_record(b_list=("b1", "b2"), d_list=("d1", "d2"))
-    assert apply_setting(rec, "all-info") == rec
-
-
-def test_unknown_setting_rejected():
-    with pytest.raises(ValueError, match="unknown setting"):
-        apply_setting(make_record(), "zero-shot")
 
 
 # -------------------------------------------------------------------- files

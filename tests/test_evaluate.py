@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import analogykit.evaluate
-from analogykit.dataset import SETTINGS, AnalogyRecord, apply_setting
+from analogykit.dataset import AnalogyRecord
 from analogykit.embeddings import EmbeddingMatrix, build_candidate_index, compose_term
 from analogykit.evaluate import SkippedQuery, evaluate_records
 from analogykit.metrics import MetricBundle, QueryOutcome, average_precision, reciprocal_rank, summarize
@@ -17,6 +17,19 @@ from analogykit.scoring import DEFAULT_EPSILON, METHODS, AnalogyQuery, rank_cand
 
 def record(a: str, b: tuple[str, ...], c: str, d: tuple[str, ...], rid: str = "R") -> AnalogyRecord:
     return AnalogyRecord(relation_id=rid, a=a, b_list=b, c=c, d_list=d)
+
+
+SETTING_NAMES = ("single", "multi", "all-info")
+
+
+def kept(rec: AnalogyRecord, setting: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The example terms and answers ``setting`` reads, written out apart from ``dataset.SETTINGS``."""
+    if setting == "single":
+        return rec.b_list[:1], rec.d_list[:1]
+    if setting == "multi":
+        return rec.b_list[:1], rec.d_list
+    assert setting == "all-info"
+    return rec.b_list, rec.d_list
 
 
 @pytest.fixture
@@ -231,6 +244,7 @@ def test_summary_is_none_when_nothing_scores(royal_space):
         (dict(setting="single", method="cosadd", epsilon=0.0), "epsilon"),
         (dict(setting="single", method="cosmul", epsilon=float("nan")), "epsilon"),
         (dict(setting="single", method="cosmul", epsilon=float("inf")), "epsilon"),
+        (dict(setting="dual", method="cosadd"), "expected one of .'single', 'multi', 'all-info'.$"),
     ],
 )
 def test_evaluate_validates_arguments(royal_space, kwargs, message):
@@ -267,7 +281,7 @@ def compose_log(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("setting", SETTING_NAMES)
 def test_each_distinct_term_the_setting_reads_is_composed_once(royal_space, compose_log, setting):
     emb, index = royal_space
     records = [
@@ -277,7 +291,7 @@ def test_each_distinct_term_the_setting_reads_is_composed_once(royal_space, comp
         record("emperor", ("king", "woman"), "queen", ("man",)),
     ]
     evaluate_records(records, emb, index, setting=setting, method="cosmul")
-    read = {t for r in records for t in (r.a, *apply_setting(r, setting).b_list, r.c)}
+    read = {t for r in records for t in (r.a, *kept(r, setting)[0], r.c)}
     assert Counter(compose_log) == Counter(read)
 
 
@@ -297,6 +311,41 @@ def test_a_term_the_setting_drops_neither_skips_nor_is_composed(royal_space, com
     assert result.skipped == ()
     assert result.outcomes[0].reciprocal_rank == 1.0
     assert "duchess" not in compose_log
+
+
+@pytest.mark.parametrize(
+    "setting, hit, ap, rr, n_scored",
+    [("single", False, 0.25, 0.25, 1), ("multi", True, 0.75, 1.0, 2), ("all-info", True, 0.75, 1.0, 2)],
+)
+def test_only_the_answers_the_setting_keeps_count(royal_space, setting, hit, ap, rr, n_scored):
+    emb, index = royal_space
+    # the ranking is queen, woman, king, man: "single" scores man alone, at 4
+    (outcome,) = evaluate_records(
+        [record("man", ("woman",), "king", ("man", "queen"))], emb, index, setting=setting, method="cosadd"
+    ).outcomes
+    assert outcome.top_guess == "queen"
+    assert (outcome.relaxed_hit, outcome.average_precision, outcome.reciprocal_rank) == (hit, ap, rr)
+    assert (outcome.n_answers_listed, outcome.n_answers_scored) == (2, n_scored)
+
+
+@pytest.mark.parametrize("setting", SETTING_NAMES)
+def test_evaluate_builds_no_record(royal_space, monkeypatch, setting):
+    emb, index = royal_space
+    records = [
+        record("man", ("woman", "queen"), "king", ("queen", "woman")),
+        record("emperor", ("woman",), "king", ("queen",)),
+    ]
+    built = []
+    check = AnalogyRecord.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(AnalogyRecord, "__post_init__", counting)
+    result = evaluate_records(records, emb, index, setting=setting, method="cosadd")
+    assert result.n_scored + len(result.skipped) == 2
+    assert built == []
 
 
 def test_query_term_composing_to_zero_is_scored_without_normalization():
@@ -329,8 +378,8 @@ def per_question(records, emb, index, *, setting, method, shift, normalize_queri
     """A plain loop: compose, score and rank each question on its own."""
     outcomes, skipped = [], []
     for rec in records:
-        r = apply_setting(rec, setting)
-        terms = (r.a, *r.b_list, r.c)
+        b_list, d_list = kept(rec, setting)
+        terms = (rec.a, *b_list, rec.c)
         vectors, reason = [], None
         for term in terms:
             vec = compose_term(term, emb).vector
@@ -355,7 +404,7 @@ def per_question(records, emb, index, *, setting, method, shift, normalize_queri
             skipped.append(SkippedQuery(rec.relation_id, rec.a, rec.c, reason))
             continue
         answers = []
-        for d in r.d_list:
+        for d in d_list:
             i = index.index_of(d)
             if i is not None and i not in answers:
                 answers.append(i)
@@ -394,7 +443,7 @@ def _records(draw):
 
 
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("setting", SETTING_NAMES)
 @settings(max_examples=60, deadline=None)
 @given(records=st.lists(_records(), min_size=1, max_size=10), shift=st.booleans(), normalize_queries=st.booleans())
 def test_evaluate_matches_a_per_question_loop(setting, method, records, shift, normalize_queries):
