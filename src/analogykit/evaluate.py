@@ -5,9 +5,21 @@ in place (``dataset.SETTINGS``).  Terms are resolved once per run: each
 distinct term the setting reads (``a``, the example terms it keeps, and
 ``c``) is composed into its query vector or a skip reason, and each
 distinct query and answer term is looked up in the candidate index.  One
-loop over the records then scores every candidate for each question from
-those tables and derives its metrics.  A question is skipped, never
-silently dropped or failed, when it cannot be scored at all:
+loop over the records then reads each question from those tables and
+either skips it or adds it to the current block.
+
+A block is a run of consecutive scorable questions, scored by one matrix
+product ``S = D @ M.T`` against the candidate matrix ``M``.  The rows of
+``D`` are the block's distinct directions (``scoring.query_directions``),
+each keyed by the terms it is built from, so questions share the ones they
+have in common.  A block holds at most ``_BLOCK_BYTES // (8 * n)``
+directions for ``n`` candidates; a question that needs more forms a block
+on its own.  Each question then combines its rows of ``S`` into its scores
+(``scoring.combine_rows``) and ranks its answers, and ``S`` is freed before
+the next block is built.
+
+A question is skipped, never silently dropped or failed, when it cannot be
+scored at all:
 
 * a query term has no in-vocabulary component words;
 * a query term composes to an exact zero vector that cannot be normalized;
@@ -37,13 +49,13 @@ from .metrics import (
     reciprocal_rank,
     summarize,
 )
-from .scoring import (
-    DEFAULT_EPSILON,
-    METHODS,
-    AnalogyQuery,
-    rank_answers,
-    score_candidates,
-)
+from .scoring import DEFAULT_EPSILON, METHODS, combine_rows, query_directions, rank_answers
+
+# Bytes of one block's product S = D @ M.T, 20 directions on a 50 000-row
+# index.  Over both passes of the benchmark's eval-allinfo workload (2 cores,
+# 2 OpenBLAS threads), 4, 8 and 16 MiB took 0.47-0.93, 0.33 and 0.27 s and
+# raised peak RSS by 5.9, 9.4 and 17.0 MB: speed bought with memory.
+_BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -122,6 +134,9 @@ def evaluate_records(
 
     outcomes: list[QueryOutcome] = []
     skipped: list[SkippedQuery] = []
+    width = _BLOCK_BYTES // (8 * len(index))
+    block: list[tuple] = []
+    columns: dict = {}
     for r in records:
         terms = (r.a, *r.b_list[:n_b], r.c)
         resolved = [vectors[term] for term in terms]
@@ -134,8 +149,33 @@ def evaluate_records(
             skipped.append(SkippedQuery(r.relation_id, r.a, r.c, reason))
             continue
         answers = list(dict.fromkeys(i for d in r.d_list[:n_d] if (i := positions[d]) is not None))
-        query = AnalogyQuery(a=resolved[0], b=np.vstack(resolved[1:-1]), c=resolved[-1])
-        scores = score_candidates(index, query, method, epsilon=epsilon, shift=shift)
+        directions = query_directions(method, terms, resolved)
+        if block and len(columns) + len({key for key, _ in directions} - columns.keys()) > width:
+            outcomes += _score_block(block, columns, index, method, epsilon, shift)
+            block, columns = [], {}
+        columns.update(directions)
+        block.append((r, excluded, answers, directions))
+    if block:
+        outcomes += _score_block(block, columns, index, method, epsilon, shift)
+
+    summary = summarize(outcomes) if outcomes else None
+    return EvaluationResult(tuple(outcomes), tuple(skipped), summary)
+
+
+def _score_block(
+    block: list[tuple], columns: dict, index: CandidateIndex, method: str, epsilon: float, shift: bool
+) -> list[QueryOutcome]:
+    """Score and rank a block's questions from one product ``S = D @ M.T``.
+
+    ``S`` and every score row, some of them views into it, are freed on
+    return, before the next block allocates its own.
+    """
+    row_of = {key: i for i, key in enumerate(columns)}
+    sims = np.stack(list(columns.values())) @ index.matrix.T
+    outcomes = []
+    for r, excluded, answers, directions in block:
+        rows = [sims[row_of[key]] for key, _ in directions]
+        scores = combine_rows(method, rows, directions, epsilon=epsilon, shift=shift)
         answer_positions, top = rank_answers(scores, answers, excluded)
         outcomes.append(
             QueryOutcome(
@@ -150,6 +190,4 @@ def evaluate_records(
                 n_answers_scored=len(answers),
             )
         )
-
-    summary = summarize(outcomes) if outcomes else None
-    return EvaluationResult(tuple(outcomes), tuple(skipped), summary)
+    return outcomes

@@ -32,12 +32,40 @@ otherwise equal to it within round-off: the chunks reproduce a
 single-threaded whole-matrix product bit for bit, but that product itself
 changes in the last bits (2.8e-17 on 50 003 random unit rows) between one
 and two OpenBLAS threads.
+
+``score_candidates`` scores one query and is the reference: acceptance
+criteria 2 and 7 pin its formulas bit for bit, and the kernel tests compare
+against it.  Evaluation scores blocks of questions with a kernel instead.
+``query_directions`` names the directions a question needs, the rows of one
+product ``S = D @ M.T`` over the candidate matrix ``M`` give their dot
+products with every candidate, and ``combine_rows`` turns a question's rows
+into its scores:
+
+* cosadd: one direction ``unit(c + mean_i(b_i) - a)``; its row is the score.
+* pairdist: ``u = unit(mean_i(b_i) - a)`` and ``c`` as composed, and the
+  score ``(S_u - c.u) / sqrt(1 - 2 S_c + c.c)``, which is ``cos(d - c, u)``
+  for a unit candidate row ``d``.
+* cosmul: ``unit(t)`` for each term ``t``; shift and combine the rows as
+  ``score_candidates`` does, in the same order of operations.
+
+Each unit vector is built as ``score_candidates`` builds it, so kernel
+scores agree with it to round-off (within 1e-12 in the tests), not bit for
+bit: a product over a block adds in another order than one over a single
+query.  Cosmul magnifies that round-off, as it does the score, by
+``1 / (cos(d, a) + epsilon)``, so near a zero denominator the two agree to
+fewer digits.  Pairdist's expanded form loses precision near ``d == c``.
+At ``d == c`` its squared distance ``1 - 2 S_c + c.c`` comes out near
+``+-1e-16`` instead of 0, so every candidate with a squared distance at or
+below ``1e-12`` (``||d - c|| <= 1e-6``) scores 0.0, as ``d == c`` does in
+``score_candidates``.  Above that the error falls with the square of the
+distance: on random 200-d unit vectors it was up to 7e-6 at
+``||d - c|| = 1.8e-6``, 2e-11 at 1e-3 and under 1e-12 from 5e-3 on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Collection, Hashable, Sequence
 
 import numpy as np
 
@@ -121,6 +149,58 @@ def score_candidates(
         per_b = [_shift(_cos_rows(rows, b_i), shift) * sim_c / (sim_a + epsilon) for b_i in query.b]
     # Mean of the per-example scores; a single example recovers the plain
     # three-term formula exactly.
+    return np.stack(per_b).mean(axis=0)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    # v / ||v|| as _cos_rows takes it; a zero-norm v scores 0.0 there, as a zero
+    # direction does here.
+    norm = np.linalg.norm(v)
+    return v / norm if norm != 0.0 else np.zeros_like(v)
+
+
+def query_directions(
+    method: str, terms: Sequence[str], vectors: Sequence[np.ndarray]
+) -> list[tuple[Hashable, np.ndarray]]:
+    """The directions the block kernel scores ``a : b_1..b_k :: c`` against.
+
+    ``terms`` are the question's terms ``(a, *b, c)`` and ``vectors`` their
+    query vectors.  Each direction is keyed by the terms it is built from, so
+    questions that share a key can share its row of ``S = D @ M.T``.
+    """
+    a, *b, c = vectors
+    if method == "cosadd":
+        return [(tuple(terms), _unit(c + exemplar_offset(a, np.vstack(b))))]
+    if method == "pairdist":
+        return [(tuple(terms[:-1]), _unit(exemplar_offset(a, np.vstack(b)))), (terms[-1], c)]
+    return [(term, _unit(vec)) for term, vec in zip(terms, vectors)]
+
+
+def combine_rows(
+    method: str,
+    rows: Sequence[np.ndarray],
+    directions: Sequence[tuple[Hashable, np.ndarray]],
+    *,
+    epsilon: float = DEFAULT_EPSILON,
+    shift: bool = False,
+) -> np.ndarray:
+    """A question's scores from ``rows``, the rows of ``S`` for its ``directions``."""
+    if method == "cosadd":
+        return rows[0]
+    if method == "pairdist":
+        (_, u), (_, c) = directions
+        s_u, s_c = rows
+        den2 = 1.0 - 2.0 * s_c + c @ c
+        # At d == c the expanded ||d - c||^2 leaves about +-1e-16, not 0: any
+        # candidate this near c scores 0.0, as d == c does in score_candidates.
+        far = den2 > 1e-12
+        # scores holds the square root, then the quotient, only where far.
+        scores = np.zeros_like(den2)
+        np.sqrt(den2, out=scores, where=far)
+        return np.divide(s_u - c @ u, scores, out=scores, where=far)
+    s_a, *s_b, s_c = (_shift(row, shift) for row in rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_b = [s_b_i * s_c / (s_a + epsilon) for s_b_i in s_b]
     return np.stack(per_b).mean(axis=0)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,7 @@ from analogykit.dataset import AnalogyRecord
 from analogykit.embeddings import EmbeddingMatrix, build_candidate_index, compose_term
 from analogykit.evaluate import SkippedQuery, evaluate_records
 from analogykit.metrics import MetricBundle, QueryOutcome, average_precision, reciprocal_rank, summarize
-from analogykit.scoring import DEFAULT_EPSILON, METHODS, AnalogyQuery, rank_candidates, score_candidates
+from analogykit.scoring import DEFAULT_EPSILON, METHODS, AnalogyQuery, rank_answers, rank_candidates, score_candidates
 
 
 def record(a: str, b: tuple[str, ...], c: str, d: tuple[str, ...], rid: str = "R") -> AnalogyRecord:
@@ -454,3 +455,170 @@ def test_evaluate_matches_a_per_question_loop(setting, method, records, shift, n
     expected = per_question(records, emb, index, **options)
     assert (result.outcomes, result.skipped) == expected
     assert result.summary == (summarize(list(expected[0])) if expected[0] else None)
+
+
+# A space for comparing the block kernel with score_candidates.  "k0 k1" and
+# "k1 k2 k3" are multi-word terms, "p n" composes to zero, "zz" is out of
+# vocabulary, "k4 zz" composes like "k4" (so two candidates tie) and "K2"
+# shares k2's index entry.  cos(dz, ax) is exactly -epsilon, so unshifted
+# cosmul with a == "ax" scores dz +-inf or NaN.  Elsewhere every pairdist
+# candidate is at least 0.09 from c (or equal to it) and every cosmul
+# denominator is at least 0.03 from zero, outside the ranges where the
+# scoring docstring says the two paths part by more than round-off.
+_KERNEL_TOKENS = ["k0", "k1", "k2", "k3", "k4", "k5", "ax", "dz", "p", "n"]
+_KERNEL_CANDIDATES = ["k0", "k1", "K2", "k3", "k0 k1", "k4", "k4 zz", "dz"]
+_KERNEL_TERMS = ["k0", "k1", "k2", "k3", "k4", "k5", "ax", "k0 k1", "k1 k2 k3", "ax k5", "K2", "k4 zz", "p n", "p", "zz"]
+
+
+def _kernel_space():
+    rng = np.random.default_rng(15)
+    p = rng.normal(size=5)
+    vectors = np.vstack(
+        [rng.normal(size=(6, 5)) * 2.0, [[2.0, 0, 0, 0, 0], [-0.001, np.sqrt(1 - 1e-6), 0, 0, 0]], p, -p]
+    )
+    emb = EmbeddingMatrix(_KERNEL_TOKENS, vectors)
+    return emb, build_candidate_index(_KERNEL_CANDIDATES, emb)
+
+
+def test_the_kernel_space_avoids_ill_conditioned_scores():
+    emb, index = _kernel_space()
+    rows = index.matrix
+    assert rows[index.index_of("dz")] @ rows[index.index_of("k0")] != 0.0
+    assert rows[index.index_of("dz")][0] + DEFAULT_EPSILON == 0.0
+    for term in _KERNEL_TERMS:
+        vec = compose_term(term, emb).vector
+        if vec is None or np.linalg.norm(vec) == 0.0:
+            continue
+        for c in (vec / np.linalg.norm(vec), vec):
+            distance = np.linalg.norm(rows - c, axis=1)
+            assert np.all((distance == 0.0) | (distance >= 0.09))
+        cos = rows @ (vec / np.linalg.norm(vec))
+        for den in (cos + DEFAULT_EPSILON, (cos + 1.0) / 2.0 + DEFAULT_EPSILON):
+            assert np.all((den == 0.0) | (np.abs(den) >= 0.03))
+
+
+@st.composite
+def _kernel_records(draw):
+    terms = st.sampled_from(_KERNEL_TERMS)
+    a, c = draw(st.lists(terms, min_size=2, max_size=2, unique=True))
+    return AnalogyRecord(
+        relation_id="R",
+        a=a,
+        b_list=tuple(draw(st.lists(terms, min_size=1, max_size=4, unique=True))),
+        c=c,
+        d_list=tuple(draw(st.lists(terms, min_size=1, max_size=2, unique=True))),
+    )
+
+
+def _oracle_scores(records, emb, index, *, setting, method, shift, normalize_queries):
+    """score_candidates for each question evaluate_records scores, in order."""
+    rows = []
+    for rec in records:
+        terms = (rec.a, *kept(rec, setting)[0], rec.c)
+        vectors = [compose_term(term, emb).vector for term in terms]
+        if any(vec is None or (normalize_queries and np.linalg.norm(vec) == 0.0) for vec in vectors):
+            continue
+        if {index.index_of(t) for t in terms} >= set(range(len(index))):
+            continue
+        if normalize_queries:
+            vectors = [vec / np.linalg.norm(vec) for vec in vectors]
+        query = AnalogyQuery(a=vectors[0], b=np.vstack(vectors[1:-1]), c=vectors[-1])
+        rows.append(score_candidates(index, query, method, shift=shift))
+    return rows
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("setting", SETTING_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(
+    records=st.lists(_kernel_records(), min_size=1, max_size=8),
+    shift=st.booleans(),
+    normalize_queries=st.booleans(),
+    width=st.sampled_from([1, 2, 3, None]),
+)
+def test_kernel_rows_match_score_candidates(setting, method, records, shift, normalize_queries, width):
+    emb, index = _kernel_space()
+    options = dict(setting=setting, method=method, shift=shift, normalize_queries=normalize_queries)
+    scored = []
+
+    def recording(scores, answers, excluded=()):
+        scored.append(scores.copy())
+        return rank_answers(scores, answers, excluded)
+
+    # Exemplars scoring +inf and -inf average to NaN, and both paths warn of it.
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        mp.setattr(analogykit.evaluate, "rank_answers", recording)
+        if width is not None:
+            mp.setattr(analogykit.evaluate, "_BLOCK_BYTES", 8 * len(index) * width)
+        result = evaluate_records(records, emb, index, **options)
+        expected = _oracle_scores(records, emb, index, **options)
+    assert len(scored) == len(expected) == result.n_scored
+    for got, want in zip(scored, expected):
+        for pattern in (np.isnan, np.isposinf, np.isneginf):
+            assert np.array_equal(pattern(got), pattern(want))
+        finite = np.isfinite(want)
+        assert np.abs(got[finite] - want[finite]).max(initial=0.0) <= 1e-12
+
+
+_BLOCK_RECORDS = [
+    record("t2", ("t3", "t4", "t1 t2", "T1"), "t0", ("t0 zz", "t3"), rid="R0"),
+    record("t0", ("t1",), "t2", ("T1",), rid="R0"),
+    record("zz", ("t1",), "t2", ("t0",), rid="R1"),
+    record("t3", ("t1 t2", "t4"), "t0 zz", ("t0",), rid="R1"),
+    record("t1", ("t0",), "t0 zz", ("T1", "t0 zz"), rid="R0"),
+    record("t4", ("t3", "t2", "t1", "t0"), "t1 t2", ("t0",), rid="R1"),
+    record("t0", ("t1",), "t2", ("t0 zz",), rid="R1"),
+]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("setting", SETTING_NAMES)
+def test_blocks_of_one_or_two_directions_change_nothing(monkeypatch, setting, method, width):
+    emb = EmbeddingMatrix(_TOKENS, _VECTORS)
+    index = build_candidate_index(_CANDIDATES, emb)
+    options = dict(setting=setting, method=method, shift=method == "cosmul", normalize_queries=True)
+    default = evaluate_records(_BLOCK_RECORDS, emb, index, **options)
+    blocks = []
+    score_block = analogykit.evaluate._score_block
+
+    def recording(block, columns, *args):
+        blocks.append((len(block), len(columns)))
+        return score_block(block, columns, *args)
+
+    monkeypatch.setattr(analogykit.evaluate, "_score_block", recording)
+    monkeypatch.setattr(analogykit.evaluate, "_BLOCK_BYTES", 8 * len(index) * width)
+    small = evaluate_records(_BLOCK_RECORDS, emb, index, **options)
+    assert (small.outcomes, small.skipped, small.summary) == (default.outcomes, default.skipped, default.summary)
+    assert (small.outcomes, small.skipped) == per_question(_BLOCK_RECORDS, emb, index, **options)
+    # "zz" is out of vocabulary, and t1, t0 and "t0 zz" exclude every candidate
+    assert small.n_scored == 5 and len(small.skipped) == 2
+    assert sum(n for n, _ in blocks) == 5
+    # only a question that needs more directions than fit forms a block alone
+    assert all(n_columns <= width or n_questions == 1 for n_questions, n_columns in blocks)
+    if (setting, method) == ("all-info", "cosmul"):
+        assert blocks[0] == (1, 6)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_evaluation_holds_one_block_at_a_time(monkeypatch, method):
+    rng = np.random.default_rng(53)
+    n, width = 4000, 48
+    tokens = [f"w{i}" for i in range(n)]
+    emb = EmbeddingMatrix(tokens, rng.normal(size=(n, 16)))
+    index = build_candidate_index(tokens, emb)
+    records = []
+    for k in range(150):
+        picks = [tokens[i] for i in rng.choice(300, size=6, replace=False)]
+        records.append(record(picks[0], tuple(picks[1:4]), picks[4], (picks[5],), rid=f"R{k % 5}"))
+    block_bytes = 8 * n * width
+    monkeypatch.setattr(analogykit.evaluate, "_BLOCK_BYTES", block_bytes)
+    tracemalloc.start()
+    try:
+        result = evaluate_records(records, emb, index, setting="all-info", method=method, shift=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n_scored == 150
+    # one product S, plus the rows a question's scores and ranking hold
+    assert peak < block_bytes + 24 * 8 * n

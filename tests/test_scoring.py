@@ -11,7 +11,9 @@ from analogykit.embeddings import CandidateIndex
 from analogykit.scoring import (
     _PAIRDIST_ROWS,
     AnalogyQuery,
+    combine_rows,
     exemplar_offset,
+    query_directions,
     rank_answers,
     rank_candidates,
     score_candidates,
@@ -207,6 +209,80 @@ def test_pairdist_candidate_equal_to_c_scores_zero():
     query = AnalogyQuery(a=index.matrix[2], b=index.matrix[3][None, :], c=index.matrix[7])
     scores = score_candidates(index, query, "pairdist")
     assert scores[7] == 0.0
+
+
+def kernel_scores(index: CandidateIndex, query: AnalogyQuery, method: str, **options) -> np.ndarray:
+    """The block kernel on one query: its directions, one product, its rows combined."""
+    terms = ("a", *(f"b{i}" for i in range(query.b.shape[0])), "c")
+    directions = query_directions(method, terms, [query.a, *query.b, query.c])
+    sims = np.stack([vec for _, vec in directions]) @ index.matrix.T
+    return combine_rows(method, list(sims), directions, **options)
+
+
+@pytest.mark.parametrize("method", ["cosadd", "pairdist", "cosmul"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("shift", [False, True])
+def test_kernel_matches_score_candidates(method, k, shift):
+    rng = np.random.default_rng(37)
+    index = random_index(rng, 60, 8)
+    for _ in range(5):
+        query = random_query(rng, 8, k)
+        expected = score_candidates(index, query, method, shift=shift)
+        scores = kernel_scores(index, query, method, shift=shift)
+        kept = np.ones(60, dtype=bool)
+        if method == "cosmul":
+            # cosmul magnifies round-off by 1 / (cos(d, a) + epsilon): leave out the
+            # candidates whose denominator is under 0.05 (see the scoring docstring)
+            sim_a = index.matrix @ query.a
+            kept = np.abs(((sim_a + 1.0) / 2.0 if shift else sim_a) + 0.001) >= 0.05
+            assert kept.sum() >= 50
+        assert np.abs(scores - expected)[kept].max() <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["cosadd", "pairdist", "cosmul"])
+def test_kernel_zero_direction_scores_positive_zero(method):
+    rng = np.random.default_rng(41)
+    index = random_index(rng, 20, 5)
+    a = index.matrix[0]
+    # cosadd's target c + b - a and pairdist's offset b - a are exactly zero
+    query = AnalogyQuery(a=a, b=a[None, :], c=np.zeros(5))
+    expected = score_candidates(index, query, method)
+    scores = kernel_scores(index, query, method)
+    assert np.array_equal(scores, expected)
+    if method != "cosmul":
+        assert np.array_equal(scores, np.zeros(20)) and not np.signbit(scores).any()
+
+
+@pytest.mark.parametrize(
+    "distance, near",
+    [(0.0, True), (1e-7, True), (0.9e-6, True), (1.1e-6, False), (1e-3, False)],
+)
+def test_kernel_pairdist_scores_candidates_at_c_zero(distance, near):
+    """Within 1e-6 of c (a squared distance of 1e-12) a candidate scores 0.0, as d == c does."""
+    rng = np.random.default_rng(43)
+    c = rng.normal(size=6)
+    c /= np.linalg.norm(c)
+    w = rng.normal(size=6)
+    w -= (w @ c) * c
+    w /= np.linalg.norm(w)
+    d = c + distance * w
+    d /= np.linalg.norm(d)
+    raw = rng.normal(size=(5, 6))
+    rows = np.vstack([raw / np.linalg.norm(raw, axis=1, keepdims=True), d])
+    index = CandidateIndex([f"cand{i}" for i in range(6)], rows)
+    assert abs(np.linalg.norm(index.matrix[5] - c) - distance) <= 1e-6 * max(distance, 1e-7)
+    query = AnalogyQuery(a=rng.normal(size=6), b=w[None, :], c=c)
+    expected = score_candidates(index, query, "pairdist")
+    scores = kernel_scores(index, query, "pairdist")
+    assert np.abs(scores[:5] - expected[:5]).max() <= 1e-12
+    if near:
+        assert scores[5] == 0.0
+    else:
+        # the expanded form keeps about five digits this close to c
+        assert scores[5] != 0.0
+        assert abs(scores[5] - expected[5]) <= 1e-4
+    if distance == 0.0:
+        assert expected[5] == 0.0
 
 
 def whole_matrix_pairdist(matrix: np.ndarray, query: AnalogyQuery) -> np.ndarray:
