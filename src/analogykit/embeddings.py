@@ -163,14 +163,13 @@ class CandidateIndex:
     Lookup goes through :func:`term_key`, so surfaces that normalize to the
     same form resolve to the same entry (first occurrence wins).  Immutable
     after construction.  ``n_discarded`` and ``n_duplicates`` count the terms
-    :func:`build_candidate_index` dropped; the constructor sets ``n_duplicates``
-    to 0.
+    :func:`build_candidate_index` dropped; the constructor sets both to 0.
     """
 
-    def __init__(self, surfaces: list[str], matrix: np.ndarray, n_discarded: int = 0):
+    def __init__(self, surfaces: list[str], matrix: np.ndarray):
         surfaces = list(surfaces)
         keys = [term_key(surface) for surface in surfaces]
-        self._init(surfaces, np.array(matrix, dtype=np.float64), n_discarded, 0, keys)
+        self._init(surfaces, np.array(matrix, dtype=np.float64), 0, 0, keys)
 
     def _init(
         self, surfaces: list[str], matrix: np.ndarray, n_discarded: int, n_duplicates: int, keys: list[str]

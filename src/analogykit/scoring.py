@@ -9,7 +9,7 @@ Three scoring methods rank every candidate ``d`` for a query
   ``mean_i(b_i) - a``.
 * ``cosmul``: mean over ``i`` of ``cos(d, b_i) * cos(d, c) / (cos(d, a) + epsilon)``.
 
-Shared conventions: ``cos(x, 0) = 0`` whenever either argument has zero
+Shared conventions: ``cos(x, 0) = +0.0`` whenever either argument has zero
 norm; ranking is by descending score with ties broken by ascending
 candidate index.  ``shift=True`` affects cosmul only: each cosine in its
 formula is first mapped to ``(cos + 1) / 2``, keeping every factor
@@ -24,18 +24,11 @@ Ranking places ``+inf`` first, then finite scores, then ``-inf``, then
 NaN; ties, including ``0.0`` against ``-0.0`` and between NaNs, go to the
 lower index.  This is the order of a stable sort on the negated scores.
 
-``pairdist`` never holds more than ``_PAIRDIST_ROWS`` rows of its difference
-matrix ``d - c``: it runs the formula over row chunks of that size, so its
-temporaries stay in cache.  Its scores are bit-identical to the whole-matrix
-formula when the index fits in one chunk (as in acceptance criterion 7), and
-otherwise equal to it within round-off: the chunks reproduce a
-single-threaded whole-matrix product bit for bit, but that product itself
-changes in the last bits (2.8e-17 on 50 003 random unit rows) between one
-and two OpenBLAS threads.
-
 ``score_candidates`` scores one query and is the reference: acceptance
 criteria 2 and 7 pin its formulas bit for bit, and the kernel tests compare
-against it.  Evaluation scores blocks of questions with a kernel instead.
+against it.  It is the plain formula, not a fast path: each pairdist call
+builds the ``n x dim`` difference matrix ``d - c`` for all ``n`` candidates.
+Evaluation scores blocks of questions with a kernel instead.
 ``query_directions`` names the directions a question needs, the rows of one
 product ``S = D @ M.T`` over the candidate matrix ``M`` give their dot
 products with every candidate, and ``combine_rows`` turns a question's rows
@@ -45,12 +38,12 @@ into its scores:
 * pairdist: ``u = unit(mean_i(b_i) - a)`` and ``c`` as composed, and the
   score ``(S_u - c.u) / sqrt(1 - 2 S_c + c.c)``, which is ``cos(d - c, u)``
   for a unit candidate row ``d``.
-* cosmul: ``unit(t)`` for each term ``t``; shift and combine the rows as
-  ``score_candidates`` does, in the same order of operations.
+* cosmul: ``unit(t)`` for each term ``t``; the rows are shifted and
+  combined by the same code as in ``score_candidates``.
 
-Each unit vector is built as ``score_candidates`` builds it, so kernel
-scores agree with it to round-off (within 1e-12 in the tests), not bit for
-bit: a product over a block adds in another order than one over a single
+Both paths build each unit vector the same way, so kernel scores agree
+with ``score_candidates`` to round-off (within 1e-12 in the tests), not bit
+for bit: a product over a block adds in another order than one over a single
 query.  Cosmul magnifies that round-off, as it does the score, by
 ``1 / (cos(d, a) + epsilon)``, so near a zero denominator the two agree to
 fewer digits.  Pairdist's expanded form loses precision near ``d == c``.
@@ -65,7 +58,7 @@ distance: on random 200-d unit vectors it was up to 7e-6 at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Hashable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -73,10 +66,6 @@ from .embeddings import CandidateIndex
 
 METHODS = ("cosadd", "pairdist", "cosmul")
 DEFAULT_EPSILON = 0.001
-# Rows per pairdist chunk, the fastest of 128-1024 timed on a 2-core box.  It
-# must be a multiple of 4: OpenBLAS's dgemv sums rows in groups of 4, and
-# chunks cut elsewhere change some rows' scores in the last bit.
-_PAIRDIST_ROWS = 256
 
 
 def exemplar_offset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -105,12 +94,35 @@ def _shift(scores: np.ndarray, shift: bool) -> np.ndarray:
     return (scores + 1.0) / 2.0 if shift else scores
 
 
-def _cos_rows(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Candidate rows are unit vectors, so only v needs normalizing.
+def _unit(v: np.ndarray) -> np.ndarray:
+    # Candidate rows are unit vectors, so rows @ _unit(v) is their cosine with
+    # v.  A zero-norm v gives the zero vector, whose product is +0.0 per row.
     norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return np.zeros(rows.shape[0], dtype=np.float64)
-    return rows @ (v / norm)
+    return v / norm if norm != 0.0 else np.zeros_like(v)
+
+
+def _cosmul(
+    cos_a: np.ndarray, cos_b: Iterable[np.ndarray], cos_c: np.ndarray, epsilon: float, shift: bool
+) -> np.ndarray:
+    """Cosmul from the cosine rows of ``a``, each ``b_i`` and ``c``.
+
+    The per-exemplar rows ``(s_b_i * s_c) / (s_a + epsilon)`` are summed in
+    place, one at a time, and divided by their count.  The sum starts from
+    +0.0, as ``np.mean`` does, so a single exemplar reduces to the plain
+    three-term formula bit for bit and a -0.0 averages to +0.0.  ``cos_b``
+    may be a generator; its rows are only read.
+    """
+    s_c = _shift(cos_c, shift)
+    den = _shift(cos_a, shift) + epsilon
+    total = np.zeros_like(s_c)
+    # A zero denominator gives +-inf or NaN, and +inf and -inf average to NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, cos_b_i in enumerate(cos_b, 1):
+            term = _shift(cos_b_i, shift) * s_c
+            term /= den
+            total += term
+        total /= k
+    return total
 
 
 def score_candidates(
@@ -128,35 +140,14 @@ def score_candidates(
         raise ValueError(f"query dimension {query.a.shape[0]} != index dimension {index.dim}")
     rows = index.matrix
     if method == "cosadd":
-        return _cos_rows(rows, query.c + exemplar_offset(query.a, query.b))
+        return rows @ _unit(query.c + exemplar_offset(query.a, query.b))
     if method == "pairdist":
-        offset = exemplar_offset(query.a, query.b)
-        offset_norm = np.linalg.norm(offset)
-        n = rows.shape[0]
-        scores = np.zeros(n, dtype=np.float64)
-        if offset_norm == 0.0:
-            return scores
-        unit = offset / offset_norm
-        for start in range(0, n, _PAIRDIST_ROWS):
-            stop = min(start + _PAIRDIST_ROWS, n)
-            diff = rows[start:stop] - query.c
-            diff_norms = np.linalg.norm(diff, axis=1)
-            np.divide(diff @ unit, diff_norms, out=scores[start:stop], where=diff_norms != 0.0)
-        return scores
-    sim_c = _shift(_cos_rows(rows, query.c), shift)
-    sim_a = _shift(_cos_rows(rows, query.a), shift)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_b = [_shift(_cos_rows(rows, b_i), shift) * sim_c / (sim_a + epsilon) for b_i in query.b]
-    # Mean of the per-example scores; a single example recovers the plain
-    # three-term formula exactly.
-    return np.stack(per_b).mean(axis=0)
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    # v / ||v|| as _cos_rows takes it; a zero-norm v scores 0.0 there, as a zero
-    # direction does here.
-    norm = np.linalg.norm(v)
-    return v / norm if norm != 0.0 else np.zeros_like(v)
+        diff = rows - query.c
+        norms = np.linalg.norm(diff, axis=1)
+        raw = diff @ _unit(exemplar_offset(query.a, query.b))
+        return np.divide(raw, norms, out=np.zeros_like(raw), where=norms != 0.0)
+    cos_b = (rows @ _unit(b_i) for b_i in query.b)
+    return _cosmul(rows @ _unit(query.a), cos_b, rows @ _unit(query.c), epsilon, shift)
 
 
 def query_directions(
@@ -198,10 +189,7 @@ def combine_rows(
         scores = np.zeros_like(den2)
         np.sqrt(den2, out=scores, where=far)
         return np.divide(s_u - c @ u, scores, out=scores, where=far)
-    s_a, *s_b, s_c = (_shift(row, shift) for row in rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_b = [s_b_i * s_c / (s_a + epsilon) for s_b_i in s_b]
-    return np.stack(per_b).mean(axis=0)
+    return _cosmul(rows[0], rows[1:-1], rows[-1], epsilon, shift)
 
 
 def rank_candidates(scores: np.ndarray, exclusions: set[int] | None = None) -> np.ndarray:

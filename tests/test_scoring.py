@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from analogykit.embeddings import CandidateIndex
 from analogykit.scoring import (
-    _PAIRDIST_ROWS,
     AnalogyQuery,
     combine_rows,
     exemplar_offset,
@@ -211,6 +210,40 @@ def test_pairdist_candidate_equal_to_c_scores_zero():
     assert scores[7] == 0.0
 
 
+@pytest.mark.parametrize(
+    "method, zero", [("cosadd", "target"), ("pairdist", "offset"), ("cosmul", "a"), ("cosmul", "b"), ("cosmul", "c")]
+)
+def test_zero_norm_inputs_score_positive_zero(method, zero):
+    # Rows whose components all share one sign: a product with the zero vector
+    # that started from its first term would come out -0.0 on half of them.
+    rng = np.random.default_rng(43)
+    raw = rng.normal(size=(30, 5))
+    raw[:15] = -np.abs(raw[:15])
+    raw[15:] = np.abs(raw[15:])
+    index = CandidateIndex([f"cand{i}" for i in range(30)], raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    q = random_query(rng, 5, 2)
+    a, b, c = q.a, q.b, q.c
+    if zero == "target":
+        c = -exemplar_offset(a, b)
+    elif zero == "offset":
+        b = np.vstack([a, a])
+    elif zero == "a":
+        a = np.zeros(5)
+    elif zero == "b":
+        b = np.zeros((2, 5))
+    else:
+        c = np.zeros(5)
+    query = AnalogyQuery(a=a, b=b, c=c)
+    scores = score_candidates(index, query, method)
+    if zero == "a":
+        # cos(d, a) = 0 leaves every denominator at epsilon, and no score at zero
+        assert np.abs(scores - naive_scores(index.matrix, query, method)).max() <= 1e-12
+    else:
+        # cosmul's per-exemplar term is -0.0 where its nonzero factors differ in sign
+        assert np.array_equal(scores, np.zeros(30))
+    assert not np.signbit(scores[scores == 0.0]).any()
+
+
 def kernel_scores(index: CandidateIndex, query: AnalogyQuery, method: str, **options) -> np.ndarray:
     """The block kernel on one query: its directions, one product, its rows combined."""
     terms = ("a", *(f"b{i}" for i in range(query.b.shape[0])), "c")
@@ -283,40 +316,6 @@ def test_kernel_pairdist_scores_candidates_at_c_zero(distance, near):
         assert abs(scores[5] - expected[5]) <= 1e-4
     if distance == 0.0:
         assert expected[5] == 0.0
-
-
-def whole_matrix_pairdist(matrix: np.ndarray, query: AnalogyQuery) -> np.ndarray:
-    """The pairdist formula over one difference matrix for all of ``matrix``."""
-    offset = exemplar_offset(query.a, query.b)
-    diff = matrix - query.c
-    diff_norms = np.linalg.norm(diff, axis=1)
-    raw = diff @ (offset / np.linalg.norm(offset))
-    return np.divide(raw, diff_norms, out=np.zeros_like(raw), where=diff_norms != 0.0)
-
-
-def test_pairdist_chunks_match_the_whole_matrix_formula():
-    assert _PAIRDIST_ROWS % 4 == 0
-    rng = np.random.default_rng(31)
-    n = 3 * _PAIRDIST_ROWS + 5
-    raw = rng.normal(size=(n, 40))
-    query = random_query(rng, 40, 2)
-    # Candidates equal to c in the first chunk, a middle chunk and the ragged last one.
-    at_c = [3, _PAIRDIST_ROWS + 17, 3 * _PAIRDIST_ROWS + 2]
-    raw[at_c] = query.c
-    index = CandidateIndex([f"cand{i}" for i in range(n)], raw / np.linalg.norm(raw, axis=1, keepdims=True))
-    assert np.array_equal(index.matrix[at_c], np.broadcast_to(query.c, (3, 40)))
-
-    scores = score_candidates(index, query, "pairdist")
-    for start in range(0, n, _PAIRDIST_ROWS):
-        stop = min(start + _PAIRDIST_ROWS, n)
-        assert np.array_equal(scores[start:stop], whole_matrix_pairdist(index.matrix[start:stop], query))
-    assert np.abs(scores - whole_matrix_pairdist(index.matrix, query)).max() <= 1e-15
-    assert all(scores[i] == 0.0 for i in at_c)
-
-    one_chunk = CandidateIndex(index.surfaces[:_PAIRDIST_ROWS], index.matrix[:_PAIRDIST_ROWS])
-    assert np.array_equal(
-        score_candidates(one_chunk, query, "pairdist"), whole_matrix_pairdist(one_chunk.matrix, query)
-    )
 
 
 def test_shift_changes_cosmul_only():
