@@ -7,7 +7,8 @@ allowlist when one is given (a sampled review report supports building
 that list by hand); per relation, sample distinct subjects and bundle
 every valid object of each sampled subject; combine the bundles
 exhaustively into ordered analogy records; render a parallel dataset with
-each concept replaced by its representative term.
+each concept replaced by its representative term.  Each relation's
+statistics are read off its rendered bundles, not counted over its records.
 
 Randomness uses Python's ``random.Random`` (Mersenne Twister), seeded per
 relation with the string ``"<seed>|<relation_id>"`` (review-report
@@ -28,7 +29,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataset import AnalogyRecord, _check_relation_id, _check_term, ambiguity, combine_pairs
+from .dataset import AnalogyRecord, _check_relation_id, _check_term, combine_pairs
 from .textio import open_text, read_tsv
 
 
@@ -78,6 +79,8 @@ class ReviewRow:
 
 @dataclass(frozen=True)
 class RelationStats:
+    """One relation's counts and ambiguity (mean answers per record), read off its rendered bundles."""
+
     relation_id: str
     n_bundles: int
     n_analogies: int
@@ -232,18 +235,17 @@ def sample_and_bundle(
             f"relation {relation_id!r}: only {len(subject_objects)} distinct subjects, "
             f"need {config.pairs_per_relation}"
         )
-    order = list(unique)
-    random.Random(f"{config.rng_seed}|{relation_id}").shuffle(order)
+    random.Random(f"{config.rng_seed}|{relation_id}").shuffle(unique)
     chosen: list[str] = []
     seen: set[str] = set()
-    for s, _ in order:
+    for s, _ in unique:
         if s in seen:
             continue
         seen.add(s)
         chosen.append(s)
         if len(chosen) == config.pairs_per_relation:
             break
-    return [(s, tuple(sorted(subject_objects[s]))) for s in chosen]
+    return [(s, tuple(subject_objects[s])) for s in chosen]
 
 
 def generate(
@@ -306,20 +308,17 @@ def generate(
                     f"share the representative term {term!r}"
                 )
             term_bundles.append((term, tuple(dict.fromkeys(rep(o) for o in objects))))
-        try:
-            rel_ids = combine_pairs(relation_id, bundles)
-            rel_terms = combine_pairs(relation_id, term_bundles)
-        except ValueError as exc:
-            raise GenerationError(str(exc)) from exc
-        id_records.extend(rel_ids)
-        term_records.extend(rel_terms)
+        id_records.extend(combine_pairs(relation_id, bundles))
+        term_records.extend(combine_pairs(relation_id, term_bundles))
+        # Each bundle's objects are the answer list of the n - 1 records that ask about it.
+        n = len(term_bundles)
         stats.append(
             RelationStats(
                 relation_id=relation_id,
-                n_bundles=len(bundles),
-                n_analogies=len(rel_terms),
-                n_multi_answer=sum(1 for r in rel_terms if len(r.d_list) > 1),
-                ambiguity=ambiguity(rel_terms),
+                n_bundles=n,
+                n_analogies=n * (n - 1),
+                n_multi_answer=(n - 1) * sum(1 for _, objects in term_bundles if len(objects) > 1),
+                ambiguity=sum(len(objects) for _, objects in term_bundles) / n,
             )
         )
 

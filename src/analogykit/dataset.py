@@ -20,6 +20,7 @@ terms hold no tab, ``|``, ``\\n`` or ``\\r`` and no relation id starts with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from pathlib import Path
 
 from .textio import read_tsv
@@ -51,6 +52,8 @@ def _check_terms(field: str, values: tuple[str, ...]) -> None:
     if not values:
         raise ValueError(f"{field} is empty")
     for value in values:
+        if not value:
+            raise ValueError(f"{field} holds an empty term")
         _check_term(field, value)
     if len(set(values)) != len(values):
         raise ValueError(f"{field} {values!r} contains duplicates")
@@ -134,25 +137,7 @@ def combine_pairs(
     subjects = [subject for subject, _ in pairs]
     if len(set(subjects)) != len(subjects):
         raise ValueError(f"relation {relation_id!r}: duplicate subjects in pair list")
-    records: list[AnalogyRecord] = []
-    for i, (subject_i, objects_i) in enumerate(pairs):
-        for j, (subject_j, objects_j) in enumerate(pairs):
-            if i == j:
-                continue
-            records.append(
-                AnalogyRecord(
-                    relation_id=relation_id,
-                    a=subject_i,
-                    b_list=tuple(objects_i),
-                    c=subject_j,
-                    d_list=tuple(objects_j),
-                )
-            )
-    return records
-
-
-def ambiguity(records: list[AnalogyRecord]) -> float:
-    """Mean number of listed answers per record."""
-    if not records:
-        raise ValueError("ambiguity of an empty record list is undefined")
-    return sum(len(rec.d_list) for rec in records) / len(records)
+    return [
+        AnalogyRecord(relation_id=relation_id, a=a, b_list=b_list, c=c, d_list=d_list)
+        for (a, b_list), (c, d_list) in permutations(pairs, 2)
+    ]

@@ -457,9 +457,12 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path, format: str = "text"
         raise ValueError(f"unknown embedding format {format!r}; expected one of {EMBEDDING_FORMATS}")
     path = Path(path)
     if format == "binary":
+        # Check the rows the binary loader will read back: float32 can overflow to inf or flush to 0.
+        with np.errstate(over="ignore"):
+            as_f32 = emb.vectors.astype("<f4")
+        _check_values(emb.tokens, as_f32.astype(np.float64), lambda i: f"{path}: row {i} as float32", ValueError)
         with open(path, "wb") as fh:
             fh.write(f"{len(emb)} {emb.dim}\n".encode("utf-8"))
-            as_f32 = emb.vectors.astype("<f4")
             for token, row in zip(emb.tokens, as_f32):
                 fh.write(token.encode("utf-8") + b" " + row.tobytes() + b"\n")
         return

@@ -190,6 +190,12 @@ def test_too_few_subjects_names_the_relation():
         sample_and_bundle("Rx", pairs, GenerationConfig(pairs_per_relation=3))
 
 
+@pytest.mark.parametrize("field", ["min_term_freq", "min_one_to_one"])
+def test_config_rejects_a_negative_threshold(field):
+    with pytest.raises(ValueError, match="filter thresholds must be non-negative"):
+        GenerationConfig(**{field: -1})
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_config_needs_two_pairs_per_relation(n):
     with pytest.raises(ValueError, match="pairs_per_relation must be at least 2"):
@@ -219,6 +225,53 @@ def test_generate_with_two_objects_per_subject():
     assert stat.n_analogies == 12 * 11
     assert stat.ambiguity == 2.0
     assert stat.n_multi_answer == stat.n_analogies
+
+
+def test_generate_statistics_of_singleton_bundles():
+    triples, lexicon, freqs = synthetic_inputs(1, 2)
+    config = GenerationConfig(min_one_to_one=0, pairs_per_relation=2)
+    (stat,) = generate(triples, lexicon, freqs, config).stats
+    assert (stat.n_bundles, stat.n_analogies, stat.n_multi_answer) == (2, 2, 0)
+    assert stat.ambiguity == 1.0
+
+
+def test_generate_statistics_of_mixed_bundles():
+    # Objects 1, 1 and 2: each bundle is the answer list of n - 1 = 2 records.
+    triples, lexicon, freqs = synthetic_inputs(1, 3)
+    triples.append(Triple(subject="S0x2", relation="R00", object="O0x2x1"))
+    lexicon["O0x2x1"] = ["obj extra"]
+    freqs["obj extra"] = 100
+    config = GenerationConfig(min_one_to_one=0, pairs_per_relation=3)
+    (stat,) = generate(triples, lexicon, freqs, config).stats
+    assert (stat.n_bundles, stat.n_analogies, stat.n_multi_answer) == (3, 6, 2)
+    assert stat.ambiguity == 4 / 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generate_statistics_match_a_count_over_the_records(seed):
+    # Subjects carry 1-3 objects; in R01 a subject's second and third object
+    # concepts share one term, so a rendered bundle can be shorter than its id bundle.
+    triples: list[Triple] = []
+    lexicon: dict[str, list[str]] = {}
+    freqs: dict[str, int] = {}
+    for r in range(3):
+        for i in range(15):
+            lexicon[f"S{r}x{i}"] = [f"subj {r} {i}"]
+            for j in range(1 + (i + r) % 3):
+                obj = f"O{r}x{i}x{j}"
+                lexicon[obj] = [f"obj {r} {i} {min(j, 1) if r == 1 else j}"]
+                triples.append(Triple(subject=f"S{r}x{i}", relation=f"R{r:02d}", object=obj))
+    freqs = {term: 100 for terms in lexicon.values() for term in terms}
+    config = GenerationConfig(min_one_to_one=0, pairs_per_relation=10, rng_seed=seed)
+    result = generate(triples, lexicon, freqs, config)
+    assert len(result.stats) == 3
+    for stat in result.stats:
+        records = [r for r in result.term_records if r.relation_id == stat.relation_id]
+        assert any(len(r.d_list) > 1 for r in records)
+        assert stat.n_bundles == len({r.a for r in records})
+        assert stat.n_analogies == len(records)
+        assert stat.n_multi_answer == sum(1 for r in records if len(r.d_list) > 1)
+        assert stat.ambiguity == sum(len(r.d_list) for r in records) / len(records)
 
 
 def test_generate_renders_ids_and_terms_in_parallel():
@@ -339,6 +392,13 @@ def test_load_frequencies_rejects_negative_counts(tmp_path):
     path = tmp_path / "freq.tsv"
     path.write_text("term\t-1\n")
     with pytest.raises(GenerationError, match="negative count"):
+        load_frequencies(path)
+
+
+def test_load_frequencies_rejects_a_non_integer_count(tmp_path):
+    path = tmp_path / "freq.tsv"
+    path.write_text("term\t5\nother\t2.5\n")
+    with pytest.raises(GenerationError, match=r"freq\.tsv:2: count '2\.5' is not an integer"):
         load_frequencies(path)
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from analogykit.dataset import (
     AnalogyFormatError,
     AnalogyRecord,
-    ambiguity,
     combine_pairs,
     load_dataset,
     save_dataset,
@@ -98,6 +97,18 @@ def test_parse_rejects_empty_answer_field(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [("R\ta\tx||y\tc\td\n", "b_list holds an empty term"), ("R\ta\tb\tc\td|\n", "d_list holds an empty term")],
+    ids=["inner", "trailing"],
+)
+def test_parse_names_an_empty_term_inside_a_list(tmp_path, line, message):
+    path = tmp_path / "data.tsv"
+    path.write_text(line)
+    with pytest.raises(AnalogyFormatError, match=rf"data\.tsv:1: {message}"):
+        load_dataset(path)
+
+
 def test_parse_rejects_wrong_field_count(tmp_path):
     path = tmp_path / "data.tsv"
     path.write_text("R\ta\tb\tc\n")
@@ -169,7 +180,9 @@ def test_combine_five_pairs_gives_twenty_ordered_records():
     pairs = [(f"s{i}", (f"o{i}",)) for i in range(5)]
     records = combine_pairs("R", pairs)
     assert len(records) == 20
-    assert all(rec.a != rec.c for rec in records)
+    assert [(rec.a, rec.c) for rec in records] == [
+        (f"s{i}", f"s{j}") for i in range(5) for j in range(5) if i != j
+    ]
     for i in range(5):
         assert sum(1 for rec in records if rec.a == f"s{i}") == 4
         assert sum(1 for rec in records if rec.c == f"s{i}") == 4
@@ -188,28 +201,3 @@ def test_combine_rejects_duplicate_subjects():
 def test_combine_rejects_single_pair():
     with pytest.raises(ValueError, match="at least 2 pairs"):
         combine_pairs("R", [("s", ("o",))])
-
-
-# ---------------------------------------------------------------- ambiguity
-
-
-def test_ambiguity_of_singletons_is_one():
-    records = combine_pairs("R", [("s1", ("o1",)), ("s2", ("o2",))])
-    assert ambiguity(records) == 1.0
-
-
-def test_ambiguity_is_mean_answer_count():
-    records = [make_record(), make_record(a="s2", d_list=("d1", "d2", "d3"))]
-    assert ambiguity(records) == 2.0
-
-
-def test_ambiguity_from_combined_bundles():
-    pairs = [("s1", ("o1",)), ("s2", ("o2",)), ("s3", ("o3a", "o3b"))]
-    records = combine_pairs("R", pairs)
-    # each subject's bundle appears n-1 = 2 times as an answer list
-    assert ambiguity(records) == 4 / 3
-
-
-def test_ambiguity_rejects_empty_input():
-    with pytest.raises(ValueError):
-        ambiguity([])

@@ -62,6 +62,16 @@ def test_constructor_names_the_row_with_the_loaders_rule():
     assert not isinstance(caught.value, EmbeddingParseError)
 
 
+@pytest.mark.parametrize(
+    "tokens, vectors, message",
+    [(["a"], [1.0, 2.0], "2-d array"), ([], np.zeros((0, 3)), "at least one token")],
+    ids=["one-d", "no-tokens"],
+)
+def test_constructor_rejects_a_malformed_matrix(tokens, vectors, message):
+    with pytest.raises(ValueError, match=message):
+        EmbeddingMatrix(tokens, vectors)
+
+
 def test_vectors_are_read_only(small_matrix):
     with pytest.raises(ValueError):
         small_matrix.vectors[0, 0] = 9.9
@@ -186,6 +196,19 @@ def test_binary_rows_cannot_overflow(tmp_path):
     assert np.array_equal(index.matrix[0], np.array([0.5, -0.5, 0.5, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "row, problem",
+    [([1e39, 1.0], "non-finite value"), ([1e-50, 0.0], "zero vector")],
+    ids=["overflow", "underflow"],
+)
+def test_binary_save_rejects_rows_float32_cannot_hold(tmp_path, row, problem):
+    emb = EmbeddingMatrix(["ok", "a"], np.array([[0.0, 1.0], row]))
+    path = tmp_path / "out.bin"
+    with pytest.raises(ValueError, match=rf"out\.bin: row 1 as float32: {problem} for token 'a'"):
+        save_embeddings(emb, path, format="binary")
+    assert not path.exists()
+
+
 def test_truncated_binary_names_offset(small_matrix, tmp_path):
     path = tmp_path / "trunc.bin"
     save_embeddings(small_matrix, path, format="binary")
@@ -264,6 +287,21 @@ def test_text_error_after_a_form_feed_names_the_text_mode_line(tmp_path):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown embedding format"):
         load_embeddings(tmp_path / "x", format="protobuf")
+
+
+def test_save_rejects_an_unknown_format(small_matrix, tmp_path):
+    with pytest.raises(ValueError, match="unknown embedding format"):
+        save_embeddings(small_matrix, tmp_path / "x", format="protobuf")
+    assert not (tmp_path / "x").exists()
+
+
+def test_zero_count_first_line_is_a_data_row(tmp_path):
+    # A header needs a positive count and dim, so "0 1" is token "0" with value 1.
+    path = tmp_path / "zero.txt"
+    path.write_text("0 1\nb 2\n", encoding="utf-8")
+    emb = load_embeddings(path)
+    assert emb.tokens == ["0", "b"]
+    assert np.array_equal(emb.vectors, np.array([[1.0], [2.0]]))
 
 
 # ------------------------------------------------------- term normalization
@@ -368,6 +406,16 @@ def test_index_lookup_misses_return_none(small_matrix):
 def test_empty_index_is_an_error(small_matrix):
     with pytest.raises(ValueError, match="candidate index is empty"):
         build_candidate_index(["zeta", "eta"], small_matrix)
+
+
+@pytest.mark.parametrize(
+    "surfaces, matrix, message",
+    [(["a", "b"], np.eye(3)[:1], "one row per surface"), ([], np.zeros((0, 3)), "candidate index is empty")],
+    ids=["row-count", "no-surfaces"],
+)
+def test_direct_index_rejects_a_malformed_matrix(surfaces, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        CandidateIndex(surfaces, matrix)
 
 
 def test_direct_index_requires_unit_rows():

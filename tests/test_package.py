@@ -1,6 +1,9 @@
+import ast
 import importlib
+from pathlib import Path
 
 import analogykit
+import analogykit.cli
 
 EXPORTS = {
     "AnalogyQuery",
@@ -43,3 +46,17 @@ def test_other_public_names_stay_in_their_modules():
     ]:
         assert hasattr(importlib.import_module(module), name)
         assert not hasattr(analogykit, name)
+
+
+def test_every_cli_binding_the_benchmark_job_uses_resolves():
+    # bench/job.py reaches the program only through ``cli.<name>``; a missing
+    # name fails every benchmark run.
+    job = Path(__file__).resolve().parent.parent / "bench" / "job.py"
+    names = {
+        node.attr
+        for node in ast.walk(ast.parse(job.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cli"
+    }
+    assert "_read_candidate_terms" in names
+    missing = sorted(name for name in names if not hasattr(analogykit.cli, name))
+    assert missing == []

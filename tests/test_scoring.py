@@ -417,6 +417,11 @@ def test_rank_answers_matches_stable_argsort_oracle(case):
 # --------------------------------------------------------------- validation
 
 
+def test_query_requires_one_dimensional_a():
+    with pytest.raises(ValueError, match="a and c must be 1-d vectors"):
+        AnalogyQuery(a=np.zeros((1, 3)), b=np.zeros((1, 3)), c=np.zeros(3))
+
+
 def test_query_requires_matching_dims():
     with pytest.raises(ValueError, match="dimensionality"):
         AnalogyQuery(a=np.zeros(3), b=np.zeros((1, 3)), c=np.zeros(4))
