@@ -9,6 +9,9 @@ every valid object of each sampled subject; combine the bundles
 exhaustively into ordered analogy records; render a parallel dataset with
 each concept replaced by its representative term.  Each relation's
 statistics are read off its rendered bundles, not counted over its records.
+Terms are checked where they enter: triple fields as they load, a lexicon
+term when it is chosen as a representative, and each relation's records
+once, in the first row :func:`.dataset.combine_pairs` builds.
 
 Randomness uses Python's ``random.Random`` (Mersenne Twister), seeded per
 relation with the string ``"<seed>|<relation_id>"`` (review-report

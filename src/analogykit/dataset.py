@@ -15,12 +15,16 @@ File format: one record per line, five tab-separated fields
 joined by ``|``.  Blank lines and lines starting with ``#`` are skipped, so
 terms hold no tab, ``|``, ``\\n`` or ``\\r`` and no relation id starts with
 ``#``: every record :func:`save_dataset` writes loads back unchanged.
+
+The ``AnalogyRecord`` constructor and :func:`load_dataset` check every
+record.  :func:`combine_pairs` checks only its first row, which holds every
+term the later records reuse, and builds the later records unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from pathlib import Path
 
 from .textio import read_tsv
@@ -123,6 +127,24 @@ def save_dataset(records: list[AnalogyRecord], path: str | Path) -> None:
             )
 
 
+def _trusted_record(
+    relation_id: str, a: str, b_list: tuple[str, ...], c: str, d_list: tuple[str, ...]
+) -> AnalogyRecord:
+    """An ``AnalogyRecord`` built without ``__post_init__``, from values already checked.
+
+    One ``object.__setattr__`` per field, in field order, as the dataclass
+    ``__init__`` sets them; a ``__dict__.update`` would give each instance
+    its own, larger dict.
+    """
+    record = object.__new__(AnalogyRecord)
+    object.__setattr__(record, "relation_id", relation_id)
+    object.__setattr__(record, "a", a)
+    object.__setattr__(record, "b_list", b_list)
+    object.__setattr__(record, "c", c)
+    object.__setattr__(record, "d_list", d_list)
+    return record
+
+
 def combine_pairs(
     relation_id: str, pairs: list[tuple[str, tuple[str, ...]]]
 ) -> list[AnalogyRecord]:
@@ -131,13 +153,24 @@ def combine_pairs(
     Every ordered pair ``(i, j)`` with ``i != j`` yields one record
     ``subject_i : objects_i :: subject_j : objects_j``, so ``n`` input
     pairs produce exactly ``n * (n - 1)`` records, in ``i``-major order.
+
+    Only row 0, the first ``n - 1`` records, goes through the checked
+    constructor.  Between them they check the relation id and every pair's
+    subject and objects, under the rules ``__post_init__`` applies to the
+    fields each later record puts them in, and distinct subjects give
+    ``a != c``.  So every later record would pass, and any bad term raises
+    in row 0 with the message an all-checked build raises first.  The later
+    records are built unchecked from row 0's fields.
     """
     if len(pairs) < 2:
         raise ValueError(f"relation {relation_id!r}: need at least 2 pairs, got {len(pairs)}")
     subjects = [subject for subject, _ in pairs]
     if len(set(subjects)) != len(subjects):
         raise ValueError(f"relation {relation_id!r}: duplicate subjects in pair list")
-    return [
-        AnalogyRecord(relation_id=relation_id, a=a, b_list=b_list, c=c, d_list=d_list)
-        for (a, b_list), (c, d_list) in permutations(pairs, 2)
+    a, b_list = pairs[0]
+    row0 = [AnalogyRecord(relation_id, a, b_list, c, d_list) for c, d_list in pairs[1:]]
+    checked = [(row0[0].a, row0[0].b_list)] + [(record.c, record.d_list) for record in row0]
+    later = islice(permutations(checked, 2), len(checked) - 1, None)
+    return row0 + [
+        _trusted_record(relation_id, a, b_list, c, d_list) for (a, b_list), (c, d_list) in later
     ]

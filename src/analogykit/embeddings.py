@@ -33,7 +33,6 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -355,15 +354,18 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
     except ValueError:
         vectors = None
     if vectors is None or vectors.shape != (len(data), dim):
-        _scan_text(data, dim, where)
+        tokens, vectors = _scan_text(data, dim, where)
     _check_values(tokens, vectors, where, EmbeddingParseError)
     return _adopt(EmbeddingMatrix, tokens, vectors)
 
 
-def _scan_text(data: list[str], dim: int, where) -> NoReturn:
+def _scan_text(data: list[str], dim: int, where) -> tuple[list[str], np.ndarray]:
     """Raise for the first bad line, in the order a line-by-line read meets the faults.
 
-    Runs only when the bulk parse has failed.
+    Runs only when the bulk parse has failed.  ``str.split`` and
+    ``np.loadtxt`` find the same fields, and ``_parse_value`` accepts the
+    values ``np.loadtxt`` does, so some line is bad; should none be, the
+    rows read here are the file's rows.
     """
     tokens: list[str] = []
     rows: list[list[float]] = []
@@ -385,7 +387,7 @@ def _scan_text(data: list[str], dim: int, where) -> NoReturn:
                 continue
         _check_values(tokens, np.array(rows, dtype=np.float64).reshape(-1, dim), where, EmbeddingParseError)
         raise EmbeddingParseError(f"{where(i)}: {error}")
-    raise EmbeddingParseError(f"{where(0)}: rows do not parse as {len(data)} x {dim} values")
+    return tokens, np.array(rows, dtype=np.float64)
 
 
 def _load_binary(path: Path) -> EmbeddingMatrix:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import subprocess
 import sys
 import tempfile
@@ -200,6 +201,48 @@ def test_generate_is_deterministic_across_runs(tmp_path, capsys):
     review = (out_a / "review.tsv").read_text(encoding="utf-8").splitlines()
     assert review[0].startswith("relation_id\t")
     assert review[1].startswith("rel0\t12\t")
+
+
+def write_multi_object_inputs(tmp_path):
+    """Two relations whose subjects carry 1-3 objects and two terms each; one rare object."""
+    triples, lexicon, freqs = [], [], []
+    for r, relation in enumerate(("may_treat", "has_ingredient")):
+        for i in range(9):
+            subject = f"C{r}s{i}"
+            lexicon += [f"{subject}\tsubject {r} {i}", f"{subject}\tsubject alias {r} {i}"]
+            freqs += [f"subject {r} {i}\t{30 + i}", f"subject alias {r} {i}\t{38 - i}"]
+            for j in range(1 + (i + r) % 3):
+                obj = f"C{r}o{i}x{j}"
+                triples.append(f"{subject}\t{relation}\t{obj}")
+                lexicon.append(f"{obj}\tobject {r} {i} {j}")
+                freqs.append(f"object {r} {i} {j}\t{25 + j}")
+    triples.append("C0s0\tmay_treat\trare")
+    lexicon.append("rare\trare object")
+    freqs.append("rare object\t3")
+    paths = {
+        "triples": tmp_path / "triples.tsv",
+        "lexicon": tmp_path / "lexicon.tsv",
+        "frequencies": tmp_path / "freq.tsv",
+    }
+    for path, lines in zip(paths.values(), (triples, lexicon, freqs)):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return {name: str(path) for name, path in paths.items()}
+
+
+def test_generate_writes_the_pinned_files(tmp_path, capsys):
+    # Digests of the four files as first written; any change to their bytes must be deliberate.
+    paths = write_multi_object_inputs(tmp_path)
+    out = tmp_path / "out"
+    args = generate_args(paths, out, "--min-one-to-one", "3", "--pairs-per-relation", "6", "--seed", "3")
+    assert main(args) == 0
+    assert "2 relations, 60 analogies" in capsys.readouterr().out
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTCOME_FILES}
+    assert digests == {
+        "dataset_ids.tsv": "7facbe04b996081f5be2279c61ffff868bc680a16112a0d536dcc03673c882aa",
+        "dataset_terms.tsv": "51057e801d5fbd80d17ce26c388d60c9b867b5c8d2cd4e9f5dd2514cac0bfb6b",
+        "statistics.tsv": "d1200fa3953ea37875bb596f4c39cbc9b512e4b426e28d22fc6dde7e8b4623b6",
+        "review.tsv": "a8c119dda07fa34c62147c401be901ae070d120cfeb2260140d0aadad25b013f",
+    }
 
 
 def test_generate_seed_changes_sample(tmp_path, capsys):

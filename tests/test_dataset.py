@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import asdict
+from itertools import permutations
+
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -201,3 +205,87 @@ def test_combine_rejects_duplicate_subjects():
 def test_combine_rejects_single_pair():
     with pytest.raises(ValueError, match="at least 2 pairs"):
         combine_pairs("R", [("s", ("o",))])
+
+
+def checked_combination(relation_id, pairs):
+    """Every ordered pair through the public, checked constructor."""
+    return [
+        AnalogyRecord(relation_id, a, b_list, c, d_list)
+        for (a, b_list), (c, d_list) in permutations(pairs, 2)
+    ]
+
+
+# Multi-word terms of words without whitespace, line breaks or "|".
+_WORDS = st.text(
+    st.characters(codec="utf-8", exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp"), exclude_characters="|"),
+    min_size=1,
+    max_size=4,
+)
+PHRASES = st.lists(_WORDS, min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def valid_pairs(draw):
+    subjects = draw(st.lists(PHRASES, min_size=2, max_size=8, unique=True))
+    return [(s, tuple(draw(st.lists(PHRASES, min_size=1, max_size=3, unique=True)))) for s in subjects]
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation_id=PHRASES.filter(lambda r: not r.startswith("#")), pairs=valid_pairs())
+def test_combined_records_are_the_records_the_checked_constructor_builds(relation_id, pairs):
+    records = combine_pairs(relation_id, pairs)
+    assert records == checked_combination(relation_id, pairs)
+    for record in records:
+        rebuilt = AnalogyRecord(**asdict(record))
+        assert rebuilt == record
+        assert hash(rebuilt) == hash(record)
+
+
+PAIRS = [("s0", ("o0", "p0")), ("s1", ("o1",)), ("s2", ("o2", "p2")), ("s3", ("o3",))]
+
+
+@pytest.mark.parametrize(
+    "place, bad, message",
+    [
+        ("relation", "R|x", "relation_id 'R|x' contains '|'"),
+        ("relation", "#R", "relation_id '#R' starts with '#', which marks a comment line"),
+        (("subject", 0), "s|x", "a 's|x' contains '|'"),
+        (("object", 0), "o|x", "b_list 'o|x' contains '|'"),
+        (("object", 0), "", "b_list holds an empty term"),
+        (("subject", 1), " s", "c ' s' has surrounding whitespace"),
+        (("object", 1), "o\tx", "d_list 'o\\tx' contains '\\t'"),
+        (("subject", -1), "", "c is empty"),
+        (("object", -1), "o\rx", "d_list 'o\\rx' contains '\\r'"),
+    ],
+)
+def test_a_bad_term_raises_what_the_checked_constructor_raises(place, bad, message):
+    relation_id, pairs = "R", list(PAIRS)
+    if place == "relation":
+        relation_id = bad
+    else:
+        part, i = place
+        subject, objects = pairs[i]
+        pairs[i] = (bad, objects) if part == "subject" else (subject, (bad, *objects))
+    with pytest.raises(ValueError) as reference:
+        checked_combination(relation_id, pairs)
+    with pytest.raises(ValueError) as caught:
+        combine_pairs(relation_id, pairs)
+    assert str(caught.value) == str(reference.value) == message
+
+
+def test_combined_records_take_no_more_memory_than_checked_ones():
+    pairs = [(f"subject {i}", (f"object {i}", f"other {i}")) for i in range(30)]
+    combine_pairs("R", pairs)  # warm any per-type caches
+    checked_combination("R", pairs)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        combined = combine_pairs("R", pairs)
+        middle = tracemalloc.get_traced_memory()[0]
+        checked = checked_combination("R", pairs)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(combined) == len(checked) == 870
+    # Records filled through __dict__.update would each own an unshared dict, about twice the bytes.
+    assert middle - before <= after - middle

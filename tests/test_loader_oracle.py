@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from analogykit import embeddings
 from analogykit.embeddings import (
     EmbeddingMatrix,
     EmbeddingParseError,
@@ -347,6 +349,38 @@ def test_binary_loader_errors_match_oracle_on_mutated_files(tmp_path, table, dat
     path = tmp_path / "mutated.bin"
     path.write_bytes(blob)
     assert_loaders_agree(path, "binary")
+
+
+# Value text at the edge of the grammar: digit groups, non-ASCII digits,
+# signs, points, exponents and the nan/inf spellings, alone or run together.
+VALUE_PIECES = ["0", "7", ".", "e", "E", "+", "-", "_", "inf", "nan", "Infinity", "x", "(", "１", "٣"]
+VALUE_TEXT = (
+    st.builds(lambda spell, v: spell(v), st.sampled_from(FORMATS), ANY_FLOAT)
+    | st.lists(st.sampled_from(VALUE_PIECES), min_size=1, max_size=4).map("".join)
+)
+_scan_text = embeddings._scan_text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=text_tables(), data=st.data())
+def test_line_scan_finds_a_bad_line_whenever_the_bulk_parse_fails(tmp_path, table, data):
+    # The scan runs only after np.loadtxt has failed; it returns rows only if
+    # every line passes _parse_value, which would mean the two value parsers disagree.
+    for values in table["rows"]:
+        for j in range(len(values)):
+            if data.draw(st.booleans()):
+                values[j] = data.draw(VALUE_TEXT)
+    path = tmp_path / "values.txt"
+    path.write_bytes(render_text(table).encode())
+    returned = []
+
+    def scan(*args):
+        returned.append(_scan_text(*args))
+        return returned[-1]
+
+    with mock.patch.object(embeddings, "_scan_text", scan):
+        assert_loaders_agree(path, table["format"])
+    assert returned == []
 
 
 # ------------------------------------------------------------ index oracle

@@ -60,3 +60,28 @@ def test_every_cli_binding_the_benchmark_job_uses_resolves():
     assert "_read_candidate_terms" in names
     missing = sorted(name for name in names if not hasattr(analogykit.cli, name))
     assert missing == []
+
+
+def test_every_traced_binding_outside_evaluate_resolves():
+    # bench/layers.py wraps each TARGETS entry at its module binding, and an
+    # absent name only reads 0 in its metrics: without datagen.combine_pairs,
+    # dataset.combine_s would. The evaluate entries that the block kernel
+    # replaced are still listed there, so that module is left out.
+    path = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+    layers = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {
+        node.targets[0].id: node.value.value
+        for node in layers.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+    }
+    (targets,) = [
+        node.value for node in layers.body if isinstance(node, ast.AnnAssign) and node.target.id == "TARGETS"
+    ]
+    entries = [(modules[entry.elts[0].id], entry.elts[1].value) for entry in targets.elts]
+    assert ("analogykit.datagen", "combine_pairs") in entries
+    missing = [
+        (module, name)
+        for module, name in entries
+        if module != "analogykit.evaluate" and not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
