@@ -21,9 +21,10 @@ that :mod:`.textio` keeps inside a line.  Values follow Python's ``float``
 grammar restricted to ASCII characters without ``_``: signs, decimal points,
 exponents and the ``nan``/``inf``/``infinity`` spellings in any case are
 accepted; digit-group underscores (``1_0``), full-width digits (``１``) and
-other non-ASCII digits (``٣``) are parse errors.  Every vector must be finite
-and have a non-zero norm, and its sum of squares must not overflow float64
-(about 1.8e308).
+other non-ASCII digits (``٣``) are parse errors.  The norm rule: every vector
+must be finite, with a sum of squares in ``[tiny, inf)``, ``tiny`` being
+``np.finfo(np.float64).tiny`` (about 2.2e-308).  Below it the norm is zero or
+inexact (subnormal); at ``inf`` it overflows float64 (past about 1.8e308).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import logging
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from .textio import open_text
 logger = logging.getLogger(__name__)
 
 EMBEDDING_FORMATS = ("text", "text-noheader", "binary")
+_TINY = np.finfo(np.float64).tiny
 
 
 class EmbeddingParseError(ValueError):
@@ -62,7 +63,7 @@ def _validate_tokens(tokens: list[str]) -> None:
 
 
 def _adopt(cls, *args):
-    """Build ``cls`` around arrays made in this module, without the copy ``__init__`` takes."""
+    """Build ``cls`` around arrays made and checked in this module, skipping ``__init__``'s copy and checks."""
     obj = cls.__new__(cls)
     obj._init(*args)
     return obj
@@ -111,18 +112,13 @@ class EmbeddingMatrix:
         return self.vectors[self._row[token]]
 
 
-@lru_cache(maxsize=8192)
-def _is_stripped(ch: str) -> bool:
-    # Unicode categories P* (punctuation) and S* (symbols).
-    return unicodedata.category(ch)[0] in ("P", "S")
-
-
 def normalize_term(term: str) -> list[str]:
     """Lowercase, delete punctuation/symbol characters, split on whitespace.
 
-    Empty tokens are dropped; an empty or all-punctuation input yields ``[]``.
+    Punctuation and symbols are the Unicode categories P* and S*.  Empty
+    tokens are dropped; an empty or all-punctuation input yields ``[]``.
     """
-    cleaned = "".join(ch for ch in term.lower() if not _is_stripped(ch))
+    cleaned = "".join(ch for ch in term.lower() if unicodedata.category(ch)[0] not in ("P", "S"))
     return cleaned.split()
 
 
@@ -167,23 +163,24 @@ class CandidateIndex:
 
     def __init__(self, surfaces: list[str], matrix: np.ndarray):
         surfaces = list(surfaces)
-        keys = [term_key(surface) for surface in surfaces]
-        self._init(surfaces, np.array(matrix, dtype=np.float64), 0, 0, keys)
-
-    def _init(
-        self, surfaces: list[str], matrix: np.ndarray, n_discarded: int, n_duplicates: int, keys: list[str]
-    ) -> None:
+        matrix = np.array(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != len(surfaces):
             raise ValueError("matrix must have one row per surface")
         if len(surfaces) == 0:
             raise ValueError("candidate index is empty: evaluation is impossible")
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        if not (np.abs(norms - 1.0) <= 1e-6).all():  # a NaN norm fails too
+            raise ValueError("candidate vectors must be unit-normalized")
+        self._init(surfaces, matrix, 0, 0, [term_key(surface) for surface in surfaces])
+
+    def _init(
+        self, surfaces: list[str], matrix: np.ndarray, n_discarded: int, n_duplicates: int, keys: list[str]
+    ) -> None:
+        """Store unit rows, one per surface, that the constructor or the build has checked."""
         # A line break would not survive the outcomes CSV as a top guess.
         for surface in surfaces:
             if "\n" in surface or "\r" in surface:
                 raise ValueError(f"candidate surface {surface!r} contains a line break")
-        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        if np.abs(norms - 1.0).max() > 1e-6:
-            raise ValueError("candidate vectors must be unit-normalized")
         matrix.flags.writeable = False
         self.surfaces: list[str] = surfaces
         self.matrix: np.ndarray = matrix
@@ -210,14 +207,15 @@ class CandidateIndex:
 def build_candidate_index(terms: list[str], emb: EmbeddingMatrix) -> CandidateIndex:
     """Compose every candidate term and build the answer index.
 
-    Terms whose component words are all out of vocabulary, or whose composed
-    vector is zero, are discarded and counted in ``n_discarded``.  A term
-    whose normalized key an earlier term already had is dropped and counted
-    in ``n_duplicates``, so kept entries, discards and duplicates add up to
-    ``len(terms)``.  Kept entries preserve input order and are L2-normalized.
-    Each row equals :func:`compose_term`'s vector divided by its
-    ``np.linalg.norm``, bit for bit; only terms with several in-vocabulary
-    words are averaged.
+    Terms whose component words are all out of vocabulary are discarded and
+    counted in ``n_discarded``; so are terms whose composed vector breaks the
+    module docstring's norm rule (it is zero, or its squares underflow or
+    overflow), with a logged warning.  A term whose normalized key an earlier
+    term already had is dropped and counted in ``n_duplicates``, so kept
+    entries, discards and duplicates add up to ``len(terms)``.  Kept entries
+    preserve input order and are L2-normalized.  Each row equals
+    :func:`compose_term`'s vector divided by its ``np.linalg.norm``, bit for
+    bit; only terms with several in-vocabulary words are averaged.
     """
     surfaces: list[str] = []
     keys: list[str] = []
@@ -246,19 +244,20 @@ def build_candidate_index(terms: list[str], emb: EmbeddingMatrix) -> CandidateIn
         if len(rows) > 1:
             matrix[i] = emb.vectors[rows].mean(axis=0)
     # sqrt(v.dot(v)) is how np.linalg.norm computes a vector's norm.
-    norms = np.sqrt([row.dot(row) for row in matrix])
-    zero = norms == 0.0
-    if zero.any():
-        # Component vectors cancelled exactly; the term cannot be ranked.
-        for i in np.flatnonzero(zero):
-            logger.warning("discarding %r: composed vector is zero", surfaces[i])
-        n_discarded += int(zero.sum())
-        surfaces = [s for s, z in zip(surfaces, zero) if not z]
-        keys = [k for k, z in zip(keys, zero) if not z]
-        matrix, norms = matrix[~zero], norms[~zero]
+    squares = np.array([row.dot(row) for row in matrix])
+    bad = _breaks_norm_rule(squares)
+    if bad.any():
+        # Such a vector has no exact unit direction, so the term cannot be ranked.
+        for i in np.flatnonzero(bad):
+            problem = "vector is zero" if squares[i] == 0.0 else _norm_problem(squares[i])
+            logger.warning("discarding %r: composed %s", surfaces[i], problem)
+        n_discarded += int(bad.sum())
+        surfaces = [s for s, b in zip(surfaces, bad) if not b]
+        keys = [k for k, b in zip(keys, bad) if not b]
+        matrix, squares = matrix[~bad], squares[~bad]
     if not surfaces:
         raise ValueError("candidate index is empty: no term had an in-vocabulary word")
-    matrix /= norms[:, None]
+    matrix /= np.sqrt(squares)[:, None]
     return _adopt(CandidateIndex, surfaces, matrix, n_discarded, n_duplicates, keys)
 
 
@@ -295,25 +294,30 @@ def _parse_value(field: str) -> float:
     return float(field)
 
 
+def _breaks_norm_rule(squares: np.ndarray) -> np.ndarray:
+    """Where a sum of squares lies outside ``[tiny, inf)``, as NaN does: the norm rule."""
+    return ~((squares >= _TINY) & (squares < np.inf))
+
+
+def _norm_problem(square: float) -> str:
+    """How a sum of squares breaks the norm rule."""
+    if square == 0.0:
+        return "zero vector"
+    return "norm underflows float64" if square < _TINY else "norm overflows float64"
+
+
 def _check_values(tokens: list[str], vectors: np.ndarray, where, error: type[ValueError]) -> None:
-    """Raise ``error`` for the first row with a non-finite value or a zero or overflowing norm.
+    """Raise ``error`` for the first row with a non-finite value or that breaks the norm rule.
 
     ``where(i)`` is the location of row ``i``: its place in the file, or its row number.
     """
     non_finite = ~np.isfinite(vectors).all(axis=1)
+    # np.linalg.norm's sum of squares breaks the rule on the same rows, up to rounding at tiny and inf.
     squares = np.einsum("ij,ij->i", vectors, vectors)
-    # A sum of squares is zero or inf exactly when np.linalg.norm of the row
-    # is, up to the summation order at the edge of overflow.
-    zero = squares == 0.0
-    bad = non_finite | zero | (squares == np.inf)
+    bad = non_finite | _breaks_norm_rule(squares)
     if bad.any():
         i = int(bad.argmax())
-        if non_finite[i]:
-            problem = "non-finite value"
-        elif zero[i]:
-            problem = "zero vector"
-        else:
-            problem = "norm overflows float64"
+        problem = "non-finite value" if non_finite[i] else _norm_problem(squares[i])
         raise error(f"{where(i)}: {problem} for token {tokens[i]!r}")
 
 
@@ -373,7 +377,7 @@ def _scan_text(data: list[str], dim: int, where) -> tuple[list[str], np.ndarray]
     for i, line in enumerate(data):
         fields = line.split()
         if len(fields) != dim + 1:
-            error = f"expected {dim} values, found {len(fields) - 1}"
+            error = f"expected {dim} values, found {len(fields) - 1}" if fields else "blank line"
         elif fields[0] in seen:
             error = f"duplicate token {fields[0]!r}"
         else:

@@ -143,6 +143,36 @@ def test_evaluate_reports_each_count_once_on_stderr(tmp_path):
     ]
 
 
+def test_evaluate_underflowing_row_names_file_and_line(tmp_path, capsys):
+    # Every value is finite and the norm is non-zero, but the squares sum to a subnormal.
+    paths = write_royal_inputs(tmp_path, [royal_record()])
+    Path(paths["embeddings"]).write_text("1 4\na 1e-160 1e-160 1e-160 1e-160\n", encoding="utf-8")
+    rc = main(evaluate_args(paths))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {paths['embeddings']}:2: norm underflows float64 for token 'a'\n"
+
+
+def test_evaluate_discards_a_near_cancelling_candidate(tmp_path):
+    paths = write_royal_inputs(tmp_path, [royal_record()])
+    rows = Path(paths["embeddings"]).read_text(encoding="utf-8").splitlines()[1:]
+    # Valid rows whose mean, [0, 1e-160], has squares that sum to a subnormal.
+    rows += ["up 1 1e-160", "down -1 1e-160"]
+    Path(paths["embeddings"]).write_text("\n".join([f"{len(rows)} 2", *rows, ""]), encoding="utf-8")
+    Path(paths["candidates"]).write_text("man\nup down\nqueen\nking\nwoman\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "analogykit", *evaluate_args(paths)],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[:2] == [
+        "WARNING analogykit.embeddings: discarding 'up down': composed norm underflows float64",
+        "INFO analogykit.cli: candidate index: 4 terms (1 discarded, 0 duplicate keys)",
+    ]
+
+
 def test_evaluate_nothing_scored_exit_one(tmp_path, capsys):
     paths = write_royal_inputs(tmp_path, [royal_record(a="emperor")])
     outcomes_path = tmp_path / "outcomes.csv"

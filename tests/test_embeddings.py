@@ -131,6 +131,19 @@ def test_row_with_wrong_width_names_line(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [("a 1 2\n\nb 3 4\n", 2), ("a 1 2\n \t\nb 3 4\n", 2), ("3 2\na 1 2\nb 3 4\n\n", 4)],
+    ids=["headerless", "whitespace-only", "headered"],
+)
+def test_blank_line_names_line(tmp_path, text, lineno):
+    path = tmp_path / "emb.txt"
+    path.write_text(text)
+    with pytest.raises(EmbeddingParseError) as caught:
+        load_embeddings(path)
+    assert str(caught.value) == f"{path}:{lineno}: blank line"
+
+
 def test_header_count_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 2\nfoo 1.0 2.0\nbar 3.0 4.0\n")
@@ -180,6 +193,41 @@ def test_text_norm_overflow_names_line_and_token(tmp_path, text, lineno):
 def test_norm_overflow_is_rejected_by_the_constructor():
     with pytest.raises(ValueError, match="overflow"):
         EmbeddingMatrix(["ok", "big"], np.array([[1.0, 2.0], [1e200, 1e200]]))
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        # Finite and non-zero, but the squares sum to 4e-320, a subnormal.
+        ("2 4\nok 1 2 3 4\na 1e-160 1e-160 1e-160 1e-160\n", 3),
+        ("a 1e-160 1e-160\nok 1 2\n", 1),
+        # A parse fault after the row sends the file to the line scan.
+        ("3 1\nok 1\na -1e-155\nbad x\n", 3),
+    ],
+)
+def test_text_norm_underflow_names_line_and_token(tmp_path, text, lineno):
+    path = tmp_path / "tiny.txt"
+    path.write_text(text)
+    with pytest.raises(EmbeddingParseError) as caught:
+        load_embeddings(path)
+    assert str(caught.value) == f"{path}:{lineno}: norm underflows float64 for token 'a'"
+
+
+def test_norm_underflow_is_rejected_by_the_constructor():
+    with pytest.raises(ValueError) as caught:
+        EmbeddingMatrix(["ok", "a"], np.array([[1.0, 2.0], [1e-160, 1e-160]]))
+    assert str(caught.value) == "row 1: norm underflows float64 for token 'a'"
+
+
+def test_the_norm_rule_starts_at_the_smallest_normal_square():
+    tiny = np.finfo(np.float64).tiny
+    # 2**-511 squares to tiny exactly; the next float down squares to a subnormal.
+    edge = 2.0**-511
+    assert edge * edge == tiny
+    emb = EmbeddingMatrix(["edge"], np.array([[edge]]))
+    assert build_candidate_index(["edge"], emb).matrix[0, 0] == 1.0
+    with pytest.raises(ValueError, match="row 0: norm underflows float64"):
+        EmbeddingMatrix(["below"], np.array([[np.nextafter(edge, 0.0)]]))
 
 
 def test_binary_rows_cannot_overflow(tmp_path):
@@ -421,6 +469,23 @@ def test_direct_index_rejects_a_malformed_matrix(surfaces, matrix, message):
 def test_direct_index_requires_unit_rows():
     with pytest.raises(ValueError, match="unit-normalized"):
         CandidateIndex(["a"], np.array([[3.0, 4.0]]))
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.0], [np.inf, 0.0]], ids=["nan", "inf"])
+def test_direct_index_rejects_non_finite_rows(row):
+    with pytest.raises(ValueError, match="unit-normalized"):
+        CandidateIndex(["a", "b"], np.array([[0.6, 0.8], row]))
+
+
+def test_near_cancelling_term_is_discarded_logged_and_counted(caplog):
+    # Both rows are valid, but "up down" composes to [0, 1e-160], whose
+    # squares sum to a subnormal: its norm is inexact.
+    emb = EmbeddingMatrix(["up", "down", "x"], [[1, 1e-160], [-1, 1e-160], [0.3, 0.4]])
+    index = build_candidate_index(["up down", "x"], emb)
+    assert index.surfaces == ["x"]
+    assert index.n_discarded == 1
+    assert np.array_equal(index.matrix, [[0.6, 0.8]])
+    assert caplog.messages == ["discarding 'up down': composed norm underflows float64"]
 
 
 @pytest.mark.parametrize("surface", ["alpha\r\nbeta", "alpha\nbeta", "alpha\rbeta"])

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from analogykit import embeddings
 from analogykit.embeddings import (
+    CandidateIndex,
     EmbeddingMatrix,
     EmbeddingParseError,
     build_candidate_index,
@@ -31,6 +32,9 @@ from analogykit.embeddings import (
 )
 
 # ------------------------------------------------------------------ oracles
+
+# The norm rule: a row's sum of squares lies in [TINY, inf).
+TINY = np.finfo(np.float64).tiny
 
 
 def _oracle_header(fields: list[str]) -> tuple[int, int] | None:
@@ -75,6 +79,8 @@ def oracle_load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
     for i, line in enumerate(data):
         lineno = start + i + 1
         fields = line.split()
+        if not fields:
+            raise EmbeddingParseError(f"{path}:{lineno}: blank line")
         if len(fields) != dim + 1:
             raise EmbeddingParseError(f"{path}:{lineno}: expected {dim} values, found {len(fields) - 1}")
         token = fields[0]
@@ -90,6 +96,8 @@ def oracle_load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
         norm = np.linalg.norm(row)
         if norm == 0.0:
             raise EmbeddingParseError(f"{path}:{lineno}: zero vector for token {token!r}")
+        if row.dot(row) < TINY:
+            raise EmbeddingParseError(f"{path}:{lineno}: norm underflows float64 for token {token!r}")
         if norm == np.inf:
             raise EmbeddingParseError(f"{path}:{lineno}: norm overflows float64 for token {token!r}")
         tokens.append(token)
@@ -139,6 +147,8 @@ def oracle_load_binary(path: Path) -> EmbeddingMatrix:
         norm = np.linalg.norm(row)
         if norm == 0.0:
             raise EmbeddingParseError(f"{path}: offset {pos - row_bytes}: zero vector for token {token!r}")
+        if row.dot(row) < TINY:
+            raise EmbeddingParseError(f"{path}: offset {pos - row_bytes}: norm underflows float64 for token {token!r}")
         if norm == np.inf:
             raise EmbeddingParseError(f"{path}: offset {pos - row_bytes}: norm overflows float64 for token {token!r}")
         tokens.append(token)
@@ -197,6 +207,9 @@ ZEROS = ["0", "-0", "0.0", "-0.0", "0e5", "+0", "1e-400"]
 BOUNDARIES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 # Finite values whose square overflows float64.
 HUGE = ["1e200", "-1.5E+160", "1.7976931348623157e308", "+2e154"]
+# Up to 5 values of at most 2e-160 have squares that sum below TINY; values
+# of at most 2e-154 have squares that sum to either side of it.
+TINY_FLOAT = st.builds(lambda v, scale: v * scale, st.floats(-2.0, 2.0), st.sampled_from([1e-160, 1e-154]))
 
 
 @st.composite
@@ -277,7 +290,8 @@ def test_binary_loader_matches_oracle_on_valid_files(tmp_path, table):
 
 
 TEXT_MUTATIONS = [
-    "drop", "extra", "garbage", "numeral", "duplicate", "non-finite", "zero", "huge", "header", "boundary"
+    "drop", "extra", "garbage", "numeral", "duplicate", "non-finite", "zero", "tiny", "huge", "header",
+    "boundary", "blank",
 ]
 
 
@@ -302,11 +316,15 @@ def test_text_loader_errors_match_oracle_on_mutated_files(tmp_path, table, data)
             rows[i][j] = data.draw(st.sampled_from(NON_FINITE))
         elif kind == "zero":
             rows[i] = [data.draw(st.sampled_from(ZEROS)) for _ in rows[i]]
+        elif kind == "tiny":
+            rows[i] = [data.draw(st.sampled_from(FORMATS))(data.draw(TINY_FLOAT)) for _ in rows[i]]
         elif kind == "huge" and j < len(rows[i]):
             rows[i][j] = data.draw(st.sampled_from(HUGE))
         elif kind == "boundary" and j < len(rows[i]):
             # A separator, not a line break: the row gains a value.
             rows[i][j] += data.draw(st.sampled_from(BOUNDARIES)) + "1.5"
+        elif kind == "blank":
+            tokens[i], rows[i] = "", []
         elif kind == "header":
             table["format"] = "text"
             count = n + data.draw(st.sampled_from([-1, 1]))
@@ -387,8 +405,8 @@ def test_line_scan_finds_a_bad_line_whenever_the_bulk_parse_fails(tmp_path, tabl
 
 
 def reference_index(terms: list[str], emb: EmbeddingMatrix):
-    """Surfaces, rows, discard and duplicate counts and zero-vector terms, one term at a time."""
-    surfaces, rows, zero_terms = [], [], []
+    """Surfaces, rows, discard and duplicate counts and the discard warnings, one term at a time."""
+    surfaces, rows, warnings = [], [], []
     seen: set[str] = set()
     n_discarded = n_duplicates = 0
     for term in terms:
@@ -402,13 +420,20 @@ def reference_index(terms: list[str], emb: EmbeddingMatrix):
             n_discarded += 1
             continue
         norm = np.linalg.norm(composed.vector)
+        square = composed.vector.dot(composed.vector)
         if norm == 0.0:
-            n_discarded += 1
-            zero_terms.append(term)
+            problem = "vector is zero"
+        elif square < TINY:
+            problem = "norm underflows float64"
+        elif norm == np.inf:
+            problem = "norm overflows float64"
+        else:
+            surfaces.append(term)
+            rows.append(composed.vector / norm)
             continue
-        surfaces.append(term)
-        rows.append(composed.vector / norm)
-    return surfaces, rows, n_discarded, n_duplicates, zero_terms
+        n_discarded += 1
+        warnings.append(f"discarding {term!r}: composed {problem}")
+    return surfaces, rows, n_discarded, n_duplicates, warnings
 
 
 class _Collect(logging.Handler):
@@ -434,26 +459,38 @@ def candidate_terms(draw):
     return [one_term() for _ in range(draw(st.integers(1, 25)))]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    terms=candidate_terms(),
-    seed=st.integers(0, 2**32 - 1),
-    dim=st.integers(1, 6),
-    zero_frac=st.sampled_from([0.0, 0.3]),
-)
-@example(terms=["up down", "w1", "W1!", "zz", "up - DOWN", "w2 zz w3"], seed=0, dim=3, zero_frac=0.3)
-@example(terms=["up down", "zz qq"], seed=1, dim=2, zero_frac=0.0)
-def test_build_candidate_index_matches_per_term_reference(terms, seed, dim, zero_frac):
+def candidate_vectors(seed: int, dim: int, zero_frac: float, gap: float) -> EmbeddingMatrix:
+    """Seven random rows for ``WORDS[:7]``; "up down" composes to ``gap`` on the last axis, or to 0 in 1-d."""
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(7, dim))
     # Exact zeros of both signs, but no all-zero row.
     holes = rng.random(size=vectors.shape) < zero_frac
     vectors[holes] = np.where(rng.random(size=vectors.shape) < 0.5, 0.0, -0.0)[holes]
     vectors[:, 0] = np.where(vectors[:, 0] == 0.0, 1.0, vectors[:, 0])
-    vectors[6] = -vectors[5]  # "up down" composes to the zero vector
-    emb = EmbeddingMatrix(WORDS[:7], vectors)
+    vectors[6] = -vectors[5]
+    if dim > 1:
+        vectors[5:, -1] = gap
+    return EmbeddingMatrix(WORDS[:7], vectors)
 
-    surfaces, rows, n_discarded, n_duplicates, zero_terms = reference_index(terms, emb)
+
+# With a gap of 1e-160 "up down" nearly cancels: its squares sum to 1e-320, a subnormal.
+GAPS_UP_DOWN = st.sampled_from([0.0, 1e-160, 1e-100])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=candidate_terms(),
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    zero_frac=st.sampled_from([0.0, 0.3]),
+    gap=GAPS_UP_DOWN,
+)
+@example(terms=["up down", "w1", "W1!", "zz", "up - DOWN", "w2 zz w3"], seed=0, dim=3, zero_frac=0.3, gap=0.0)
+@example(terms=["up down", "zz qq"], seed=1, dim=2, zero_frac=0.0, gap=0.0)
+@example(terms=["w1", "up down", "up"], seed=2, dim=2, zero_frac=0.0, gap=1e-160)
+def test_build_candidate_index_matches_per_term_reference(terms, seed, dim, zero_frac, gap):
+    emb = candidate_vectors(seed, dim, zero_frac, gap)
+    surfaces, rows, n_discarded, n_duplicates, warnings = reference_index(terms, emb)
     handler = _Collect()
     logger = logging.getLogger("analogykit.embeddings")
     logger.addHandler(handler)
@@ -473,9 +510,35 @@ def test_build_candidate_index_matches_per_term_reference(terms, seed, dim, zero
     expected = np.vstack(rows)
     assert index.matrix.shape == expected.shape
     assert np.array_equal(index.matrix.view(np.uint64), expected.view(np.uint64))
-    assert handler.messages == [f"discarding {t!r}: composed vector is zero" for t in zero_terms]
+    assert handler.messages == warnings
     positions: dict[str, int] = {}
     for i, surface in enumerate(surfaces):
         positions.setdefault(term_key(surface), i)
     for probe in [*terms, *WORDS, "up down", "nothing here"]:
         assert index.index_of(probe) == positions.get(term_key(probe))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=candidate_terms(),
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    gap=GAPS_UP_DOWN,
+    scale=st.sampled_from([1e-140, 1.0, 1e140]),
+)
+@example(terms=["up down", "w1"], seed=0, dim=2, gap=1e-160, scale=1.0)
+def test_every_built_index_passes_the_public_constructor(terms, seed, dim, gap, scale):
+    # build_candidate_index stores its rows unchecked; the public constructor
+    # must accept every index it returns, unchanged.
+    emb = candidate_vectors(seed, dim, 0.0, gap)
+    emb = EmbeddingMatrix(emb.tokens, emb.vectors * scale)
+    try:
+        index = build_candidate_index(terms, emb)
+    except ValueError as exc:
+        assert str(exc) == "candidate index is empty: no term had an in-vocabulary word"
+        return
+    rebuilt = CandidateIndex(index.surfaces, index.matrix)
+    assert rebuilt.surfaces == index.surfaces
+    assert np.array_equal(rebuilt.matrix.view(np.uint64), index.matrix.view(np.uint64))
+    for probe in [*terms, *WORDS, "up down", "nothing here"]:
+        assert rebuilt.index_of(probe) == index.index_of(probe)

@@ -2,6 +2,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import analogykit
 import analogykit.cli
 
@@ -85,3 +87,16 @@ def test_every_traced_binding_outside_evaluate_resolves():
         if module != "analogykit.evaluate" and not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; the parser rejects
+    # newer syntax, such as except* groups, under feature_version=(3, 10).
+    root = Path(__file__).resolve().parent.parent
+    for folder in ("src", "tests", "demos"):
+        paths = sorted((root / folder).rglob("*.py"))
+        assert paths, folder
+        for path in paths:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
