@@ -10,7 +10,10 @@ Vector file formats:
 * ``binary``: word2vec-compatible binary.  Header line, then per token: the
   token bytes terminated by a single space, followed by ``dim`` little-endian
   float32 values.  A trailing newline per row is written on save and
-  tolerated on load.
+  tolerated on load.  Loaded vectors stay float32, as the file stores them;
+  text files and the :class:`EmbeddingMatrix` constructor give float64.
+  Every computation upcasts to float64 first, which is exact, so scores do
+  not depend on the stored dtype.
 
 Tokens may not contain whitespace; multi-word terms are handled by
 composition (:func:`compose_term`), not by the token vocabulary.
@@ -112,14 +115,25 @@ class EmbeddingMatrix:
         return self.vectors[self._row[token]]
 
 
+class _StripTable(dict):
+    """A ``str.translate`` table deleting punctuation and symbols, filled as code points are met."""
+
+    def __missing__(self, code: int) -> int | None:
+        kept = None if unicodedata.category(chr(code))[0] in "PS" else code
+        self[code] = kept
+        return kept
+
+
+_STRIP = _StripTable()
+
+
 def normalize_term(term: str) -> list[str]:
     """Lowercase, delete punctuation/symbol characters, split on whitespace.
 
     Punctuation and symbols are the Unicode categories P* and S*.  Empty
     tokens are dropped; an empty or all-punctuation input yields ``[]``.
     """
-    cleaned = "".join(ch for ch in term.lower() if unicodedata.category(ch)[0] not in ("P", "S"))
-    return cleaned.split()
+    return term.lower().translate(_STRIP).split()
 
 
 def term_key(term: str) -> str:
@@ -148,7 +162,7 @@ def compose_term(term: str, emb: EmbeddingMatrix) -> ComposedTerm:
     in_vocab = [t for t in tokens if t in emb]
     if not in_vocab:
         return ComposedTerm(term, tokens, in_vocab, None)
-    rows = emb.vectors[[emb.row(t) for t in in_vocab]]
+    rows = emb.vectors[[emb.row(t) for t in in_vocab]].astype(np.float64, copy=False)
     return ComposedTerm(term, tokens, in_vocab, rows.mean(axis=0))
 
 
@@ -178,17 +192,17 @@ class CandidateIndex:
     ) -> None:
         """Store unit rows, one per surface, that the constructor or the build has checked."""
         # A line break would not survive the outcomes CSV as a top guess.
-        for surface in surfaces:
-            if "\n" in surface or "\r" in surface:
-                raise ValueError(f"candidate surface {surface!r} contains a line break")
+        joined = "".join(surfaces)
+        if "\n" in joined or "\r" in joined:
+            surface = next(s for s in surfaces if "\n" in s or "\r" in s)
+            raise ValueError(f"candidate surface {surface!r} contains a line break")
         matrix.flags.writeable = False
         self.surfaces: list[str] = surfaces
         self.matrix: np.ndarray = matrix
         self.n_discarded: int = n_discarded
         self.n_duplicates: int = n_duplicates
-        self._key_to_index: dict[str, int] = {}
-        for i, key in enumerate(keys):
-            self._key_to_index.setdefault(key, i)
+        # Filled last index first, so the first of equal keys wins.
+        self._key_to_index: dict[str, int] = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
 
     @property
     def dim(self) -> int:
@@ -237,14 +251,16 @@ def build_candidate_index(terms: list[str], emb: EmbeddingMatrix) -> CandidateIn
         keys.append(key)
         word_rows.append(rows)
 
-    matrix = emb.vectors[[rows[0] for rows in word_rows]]
+    # One float64 matrix: the gather's own copy when the vectors are float64 already.
+    matrix = emb.vectors[[rows[0] for rows in word_rows]].astype(np.float64, copy=False)
     # The mean of one row is 0.0 + row: -0.0 becomes 0.0, nothing else changes.
     matrix += 0.0
     for i, rows in enumerate(word_rows):
         if len(rows) > 1:
-            matrix[i] = emb.vectors[rows].mean(axis=0)
-    # sqrt(v.dot(v)) is how np.linalg.norm computes a vector's norm.
-    squares = np.array([row.dot(row) for row in matrix])
+            matrix[i] = emb.vectors[rows].astype(np.float64, copy=False).mean(axis=0)
+    # sqrt(v.dot(v)) is how np.linalg.norm computes a vector's norm; the
+    # stacked product gives each row's v.dot(v), bit for bit.
+    squares = (matrix[:, None, :] @ matrix[:, :, None]).ravel()
     bad = _breaks_norm_rule(squares)
     if bad.any():
         # Such a vector has no exact unit direction, so the term cannot be ranked.
@@ -313,7 +329,7 @@ def _check_values(tokens: list[str], vectors: np.ndarray, where, error: type[Val
     """
     non_finite = ~np.isfinite(vectors).all(axis=1)
     # np.linalg.norm's sum of squares breaks the rule on the same rows, up to rounding at tiny and inf.
-    squares = np.einsum("ij,ij->i", vectors, vectors)
+    squares = np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)
     bad = non_finite | _breaks_norm_rule(squares)
     if bad.any():
         i = int(bad.argmax())
@@ -395,10 +411,11 @@ def _scan_text(data: list[str], dim: int, where) -> tuple[list[str], np.ndarray]
 
 
 def _load_binary(path: Path) -> EmbeddingMatrix:
-    """Scan the tokens, then convert all rows at once.
+    """Find each row's token and values, check all tokens at once, and view the values as float32.
 
-    A fault stops the scan, but the rows before it are checked first, so the
-    error names the first fault in file order, as a row-by-row read would.
+    Only a failed token check runs :func:`_scan_tokens`.  A fault stops the
+    read, but the rows before it are checked first, so the error names the
+    first fault in file order, as a row-by-row read would.
     """
     blob = path.read_bytes()
     nl = blob.find(b"\n")
@@ -410,9 +427,9 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
     count, dim = header
     row_bytes = 4 * dim
     pos = nl + 1
-    tokens: list[str] = []
+    starts: list[int] = []
+    names: list[bytes] = []
     offsets: list[int] = []
-    seen: set[str] = set()
     error = None
     for i in range(count):
         while pos < len(blob) and blob[pos] == 0x0A:
@@ -421,24 +438,11 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
         if sp < 0:
             error = f"offset {pos}: unterminated token for vector {i}"
             break
-        try:
-            token = blob[pos:sp].decode("utf-8")
-            _check_token(token)
-        except UnicodeDecodeError:
-            error = f"offset {pos}: undecodable token bytes"
-            break
-        except ValueError as exc:
-            error = f"offset {pos}: {exc}"
-            break
-        if token in seen:
-            error = f"offset {pos}: duplicate token {token!r}"
-            break
-        seen.add(token)
+        starts.append(pos)
+        names.append(blob[pos:sp])
         pos = sp + 1
         if pos + row_bytes > len(blob):
-            error = f"offset {pos}: truncated vector for token {token!r}"
-            break
-        tokens.append(token)
+            break  # a truncated row, named once its token is known
         offsets.append(pos)
         pos += row_bytes
     else:
@@ -447,14 +451,44 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
         if pos != len(blob):
             error = f"offset {pos}: trailing data after {count} vectors"
 
+    try:
+        text = b" ".join(names).decode("utf-8")
+    except UnicodeDecodeError:
+        text = ""  # fails the check below, since "".split() != [""]
+    tokens = text.split(" ")
+    if text.split() != tokens or len(set(tokens)) != len(names):
+        tokens, fault = _scan_tokens(names, starts)
+        error = fault or error
+        del offsets[len(tokens) :]
+    if len(offsets) < len(tokens):
+        error = f"offset {pos}: truncated vector for token {tokens[-1]!r}"
+
     with memoryview(blob) as view:
         packed = b"".join([view[o : o + row_bytes] for o in offsets])
-    del blob  # free the file bytes before the float64 copy
-    vectors = np.frombuffer(packed, dtype="<f4").reshape(len(offsets), dim).astype(np.float64)
+    vectors = np.frombuffer(packed, dtype="<f4").reshape(len(offsets), dim)
     _check_values(tokens, vectors, lambda i: f"{path}: offset {offsets[i]}", EmbeddingParseError)
     if error is not None:
         raise EmbeddingParseError(f"{path}: {error}")
     return _adopt(EmbeddingMatrix, tokens, vectors)
+
+
+def _scan_tokens(names: list[bytes], starts: list[int]) -> tuple[list[str], str | None]:
+    """The tokens before the first bad one, and its fault; runs only when the bulk token check fails."""
+    tokens: list[str] = []
+    seen: set[str] = set()
+    for name, start in zip(names, starts):
+        try:
+            token = name.decode("utf-8")
+            _check_token(token)
+        except UnicodeDecodeError:
+            return tokens, f"offset {start}: undecodable token bytes"
+        except ValueError as exc:
+            return tokens, f"offset {start}: {exc}"
+        if token in seen:
+            return tokens, f"offset {start}: duplicate token {token!r}"
+        seen.add(token)
+        tokens.append(token)
+    return tokens, None
 
 
 def save_embeddings(emb: EmbeddingMatrix, path: str | Path, format: str = "text") -> None:
@@ -466,7 +500,7 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path, format: str = "text"
         # Check the rows the binary loader will read back: float32 can overflow to inf or flush to 0.
         with np.errstate(over="ignore"):
             as_f32 = emb.vectors.astype("<f4")
-        _check_values(emb.tokens, as_f32.astype(np.float64), lambda i: f"{path}: row {i} as float32", ValueError)
+        _check_values(emb.tokens, as_f32, lambda i: f"{path}: row {i} as float32", ValueError)
         with open(path, "wb") as fh:
             fh.write(f"{len(emb)} {emb.dim}\n".encode("utf-8"))
             for token, row in zip(emb.tokens, as_f32):

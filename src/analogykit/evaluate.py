@@ -22,7 +22,8 @@ A question is skipped, never silently dropped or failed, when it cannot be
 scored at all:
 
 * a query term has no in-vocabulary component words;
-* a query term composes to an exact zero vector that cannot be normalized;
+* queries are normalized and a query term's composed vector breaks the
+  norm rule of :mod:`.embeddings` (it is zero, or its squares underflow or overflow);
 * every candidate is excluded by the query's own terms.
 
 Skips are returned with their reasons so the caller can report them and
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SETTINGS, AnalogyRecord
-from .embeddings import CandidateIndex, EmbeddingMatrix, compose_term
+from .embeddings import CandidateIndex, EmbeddingMatrix, _breaks_norm_rule, _norm_problem, compose_term
 from .metrics import (
     EvaluationSummary,
     QueryOutcome,
@@ -54,7 +55,10 @@ from .scoring import DEFAULT_EPSILON, METHODS, combine_rows, query_directions, r
 # Bytes of one block's product S = D @ M.T, 20 directions on a 50 000-row
 # index.  Over both passes of the benchmark's eval-allinfo workload (2 cores,
 # 2 OpenBLAS threads), 4, 8 and 16 MiB took 0.47-0.93, 0.33 and 0.27 s and
-# raised peak RSS by 5.9, 9.4 and 17.0 MB: speed bought with memory.
+# raised peak RSS by 5.9, 9.4 and 17.0 MB: speed bought with memory.  With
+# binary vectors stored as float32, 24 MiB still raised the load-text
+# workload's peak RSS from 224 to 248 MB (+10.5 %): its text vectors stay
+# float64, so it frees no memory to pay for a wider block.
 _BLOCK_BYTES = 8 * 2**20
 
 
@@ -88,10 +92,11 @@ def _resolve(term: str, emb: EmbeddingMatrix, normalize: bool) -> np.ndarray | s
     if vec is None:
         return f"term {term!r} has no in-vocabulary words"
     if normalize:
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            return f"term {term!r} composed to a zero vector"
-        vec = vec / norm
+        # sqrt(v.dot(v)) is np.linalg.norm(v), bit for bit.
+        square = vec.dot(vec)
+        if _breaks_norm_rule(square):
+            return f"term {term!r} composed " + ("to a zero vector" if square == 0.0 else _norm_problem(square))
+        vec = vec / np.sqrt(square)
     return vec
 
 

@@ -173,6 +173,24 @@ def test_evaluate_discards_a_near_cancelling_candidate(tmp_path):
     ]
 
 
+def test_evaluate_skips_a_query_term_whose_composed_norm_underflows(tmp_path, capsys):
+    records = [royal_record(), royal_record(a="up down")]
+    paths = write_royal_inputs(tmp_path, records)
+    rows = Path(paths["embeddings"]).read_text(encoding="utf-8").splitlines()[1:]
+    # Valid rows whose mean, [0, 1e-160], has squares that sum to a subnormal.
+    rows += ["up 1 1e-160", "down -1 1e-160"]
+    Path(paths["embeddings"]).write_text("\n".join([f"{len(rows)} 2", *rows, ""]), encoding="utf-8")
+    outcomes_path = tmp_path / "outcomes.csv"
+    rc = main(evaluate_args(paths, "--out-outcomes", str(outcomes_path)))
+    assert rc == 2
+    assert "skipped 1 of 2 analogy questions" in capsys.readouterr().err
+    outcomes, skipped = load_outcomes_csv(str(outcomes_path))
+    assert [o.a for o in outcomes] == ["man"]
+    assert skipped == [SkippedQuery("royal", "up down", "king", "term 'up down' composed norm underflows float64")]
+    # Unnormalized queries have no norm to take, so the question is scored.
+    assert main(evaluate_args(paths, "--no-normalize")) == 0
+
+
 def test_evaluate_nothing_scored_exit_one(tmp_path, capsys):
     paths = write_royal_inputs(tmp_path, [royal_record(a="emperor")])
     outcomes_path = tmp_path / "outcomes.csv"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
+import unicodedata
 
 import numpy as np
 import pytest
@@ -114,6 +116,23 @@ def test_binary_round_trip_is_float32_exact(small_matrix, tmp_path):
     assert loaded.tokens == small_matrix.tokens
     expected = small_matrix.vectors.astype("<f4").astype(np.float64)
     assert np.array_equal(loaded.vectors, expected)
+
+
+def test_binary_loads_keep_float32_and_compositions_are_float64(tmp_path):
+    # In float32, 1 + 2**-30 rounds to 1, so a float32 mean would differ in the first value.
+    emb = EmbeddingMatrix(["a", "b"], np.array([[1.0, 1.0], [2.0**-30, 1.0]]))
+    save_embeddings(emb, tmp_path / "vec.bin", format="binary")
+    save_embeddings(emb, tmp_path / "vec.txt", format="text")
+    binary = load_embeddings(tmp_path / "vec.bin", format="binary")
+    assert binary.vectors.dtype == binary.vector("a").dtype == np.float32
+    assert emb.vectors.dtype == load_embeddings(tmp_path / "vec.txt").vectors.dtype == np.float64
+    for loaded in (binary, emb):
+        assert compose_term("a", loaded).vector.dtype == np.float64
+        assert compose_term("a b", loaded).vector.tolist() == [(1.0 + 2.0**-30) / 2.0, 1.0]
+        index = build_candidate_index(["a b", "b"], loaded)
+        assert index.matrix.dtype == np.float64
+        composed = compose_term("a b", loaded).vector
+        assert np.array_equal(index.matrix[0], composed / np.linalg.norm(composed))
 
 
 def test_save_then_load_matches_reload(small_matrix, tmp_path):
@@ -382,6 +401,15 @@ def test_normalize_term_is_idempotent(s):
     assert normalize_term(" ".join(once)) == once
 
 
+def _normalize_term_per_character(term: str) -> list[str]:
+    return "".join(ch for ch in term.lower() if unicodedata.category(ch)[0] not in ("P", "S")).split()
+
+
+@given(st.text(st.characters(exclude_categories=())))
+def test_normalize_term_matches_the_per_character_filter(s):
+    assert normalize_term(s) == _normalize_term_per_character(s)
+
+
 # ------------------------------------------------------------- composition
 
 
@@ -486,6 +514,20 @@ def test_near_cancelling_term_is_discarded_logged_and_counted(caplog):
     assert index.n_discarded == 1
     assert np.array_equal(index.matrix, [[0.6, 0.8]])
     assert caplog.messages == ["discarding 'up down': composed norm underflows float64"]
+
+
+def test_index_build_allocates_one_index_sized_matrix():
+    n, dim = 2000, 500
+    emb = EmbeddingMatrix([f"w{i}" for i in range(n)], np.random.default_rng(5).normal(size=(n, dim)))
+    terms = [f"w{i}" for i in range(n)] + ["w0 w1", "w2 w3 w4"]
+    tracemalloc.start()
+    try:
+        index = build_candidate_index(terms, emb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The float64 matrix is the index's own: a second copy of it would double the peak.
+    assert peak < 1.5 * index.matrix.nbytes
 
 
 @pytest.mark.parametrize("surface", ["alpha\r\nbeta", "alpha\nbeta", "alpha\rbeta"])

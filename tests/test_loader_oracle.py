@@ -179,7 +179,7 @@ def assert_loaders_agree(path: Path, format: str) -> bool:
     loaded = load_embeddings(path, format)
     assert loaded.tokens == expected.tokens
     assert loaded.vectors.shape == expected.vectors.shape
-    assert np.array_equal(loaded.vectors.view(np.uint64), expected.vectors.view(np.uint64))
+    assert np.array_equal(loaded.vectors.astype(np.float64).view(np.uint64), expected.vectors.view(np.uint64))
     return True
 
 
