@@ -15,7 +15,8 @@ Vector file formats:
   Every computation upcasts to float64 first, which is exact, so scores do
   not depend on the stored dtype.
 
-Tokens may not contain whitespace; multi-word terms are handled by
+The token rule: a token is non-empty, holds no whitespace as ``str.split``
+finds it, and repeats no earlier token.  Multi-word terms are handled by
 composition (:func:`compose_term`), not by the token vocabulary.
 
 Text tokens and values are separated by whitespace as ``str.split`` and
@@ -51,17 +52,19 @@ class EmbeddingParseError(ValueError):
     """A vector file violates its declared format."""
 
 
-def _check_token(tok: str) -> None:
-    if not tok or tok.split() != [tok]:
-        raise ValueError(f"invalid token {tok!r}: tokens must be non-empty and contain no whitespace")
+def _token_fault(tokens: list[str]) -> tuple[int, str] | None:
+    """The index and message of the first token that breaks the token rule, or ``None``.
 
-
-def _validate_tokens(tokens: list[str]) -> None:
+    One bulk test covers every token; only when it fails are the tokens walked.
+    """
+    if " ".join(tokens).split() == tokens and len(set(tokens)) == len(tokens):
+        return None
     seen: set[str] = set()
-    for tok in tokens:
-        _check_token(tok)
+    for i, tok in enumerate(tokens):
+        if tok.split() != [tok]:
+            return i, f"invalid token {tok!r}: tokens must be non-empty and contain no whitespace"
         if tok in seen:
-            raise ValueError(f"duplicate token {tok!r}")
+            return i, f"duplicate token {tok!r}"
         seen.add(tok)
 
 
@@ -87,7 +90,8 @@ class EmbeddingMatrix:
             raise ValueError(f"{len(tokens)} tokens but {vectors.shape[0]} vectors")
         if vectors.shape[0] == 0:
             raise ValueError("embedding matrix must contain at least one token")
-        _validate_tokens(tokens)
+        if fault := _token_fault(tokens):
+            raise ValueError("row %d: %s" % fault)
         _check_values(tokens, vectors, lambda i: f"row {i}", ValueError)
         self._init(tokens, vectors)
 
@@ -354,15 +358,11 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
         raise EmbeddingParseError(f"{path}:{start + 1}: no vector values on first data line")
 
     tokens: list[str] = []
-    seen: set[str] = set()
 
     def values():
         # A ValueError here, or from np.loadtxt, sends the file to _scan_text.
         for line in data:
             token, rest = line.split(None, 1)  # a line without values
-            if token in seen:
-                raise ValueError("duplicate token")
-            seen.add(token)
             tokens.append(token)
             yield rest
 
@@ -373,7 +373,7 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
         vectors = np.loadtxt(values(), dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         vectors = None
-    if vectors is None or vectors.shape != (len(data), dim):
+    if vectors is None or vectors.shape != (len(data), dim) or _token_fault(tokens):
         tokens, vectors = _scan_text(data, dim, where)
     _check_values(tokens, vectors, where, EmbeddingParseError)
     return _adopt(EmbeddingMatrix, tokens, vectors)
@@ -382,10 +382,11 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
 def _scan_text(data: list[str], dim: int, where) -> tuple[list[str], np.ndarray]:
     """Raise for the first bad line, in the order a line-by-line read meets the faults.
 
-    Runs only when the bulk parse has failed.  ``str.split`` and
-    ``np.loadtxt`` find the same fields, and ``_parse_value`` accepts the
-    values ``np.loadtxt`` does, so some line is bad; should none be, the
-    rows read here are the file's rows.
+    Runs only when the bulk parse or :func:`_token_fault` has failed.
+    ``str.split`` and ``np.loadtxt`` find the same fields, and
+    ``_parse_value`` accepts the values ``np.loadtxt`` does, so some line is
+    bad; should none be, the rows read here are the file's rows.  It checks
+    duplicates itself, to order them before a line's value faults.
     """
     tokens: list[str] = []
     rows: list[list[float]] = []
@@ -413,9 +414,9 @@ def _scan_text(data: list[str], dim: int, where) -> tuple[list[str], np.ndarray]
 def _load_binary(path: Path) -> EmbeddingMatrix:
     """Find each row's token and values, check all tokens at once, and view the values as float32.
 
-    Only a failed token check runs :func:`_scan_tokens`.  A fault stops the
-    read, but the rows before it are checked first, so the error names the
-    first fault in file order, as a row-by-row read would.
+    The names are decoded in one call and checked by :func:`_token_fault`.  A
+    fault stops the read, but the rows before it are checked first, so the
+    error names the first fault in file order, as a row-by-row read would.
     """
     blob = path.read_bytes()
     nl = blob.find(b"\n")
@@ -451,15 +452,19 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
         if pos != len(blob):
             error = f"offset {pos}: trailing data after {count} vectors"
 
+    joined = b" ".join(names)  # a name holds no space byte, nor does UTF-8 put one inside a character
     try:
-        text = b" ".join(names).decode("utf-8")
-    except UnicodeDecodeError:
-        text = ""  # fails the check below, since "".split() != [""]
-    tokens = text.split(" ")
-    if text.split() != tokens or len(set(tokens)) != len(names):
-        tokens, fault = _scan_tokens(names, starts)
-        error = fault or error
-        del offsets[len(tokens) :]
+        tokens = joined.decode("utf-8").split(" ") if names else []
+    except UnicodeDecodeError as exc:
+        i = joined.count(b" ", 0, exc.start)
+        tokens = joined[: exc.start].decode("utf-8").split(" ")[:i]
+        fault = _token_fault(tokens) or (i, "undecodable token bytes")
+    else:
+        fault = _token_fault(tokens)
+    if fault is not None:
+        i, message = fault
+        error = f"offset {starts[i]}: {message}"
+        del tokens[i:], offsets[i:]
     if len(offsets) < len(tokens):
         error = f"offset {pos}: truncated vector for token {tokens[-1]!r}"
 
@@ -470,25 +475,6 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
     if error is not None:
         raise EmbeddingParseError(f"{path}: {error}")
     return _adopt(EmbeddingMatrix, tokens, vectors)
-
-
-def _scan_tokens(names: list[bytes], starts: list[int]) -> tuple[list[str], str | None]:
-    """The tokens before the first bad one, and its fault; runs only when the bulk token check fails."""
-    tokens: list[str] = []
-    seen: set[str] = set()
-    for name, start in zip(names, starts):
-        try:
-            token = name.decode("utf-8")
-            _check_token(token)
-        except UnicodeDecodeError:
-            return tokens, f"offset {start}: undecodable token bytes"
-        except ValueError as exc:
-            return tokens, f"offset {start}: {exc}"
-        if token in seen:
-            return tokens, f"offset {start}: duplicate token {token!r}"
-        seen.add(token)
-        tokens.append(token)
-    return tokens, None
 
 
 def save_embeddings(emb: EmbeddingMatrix, path: str | Path, format: str = "text") -> None:

@@ -74,6 +74,57 @@ def test_constructor_rejects_a_malformed_matrix(tokens, vectors, message):
         EmbeddingMatrix(tokens, vectors)
 
 
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        (["a", "b", "a"], "row 2: duplicate token 'a'"),
+        (["a", "", "b"], "row 1: invalid token '': tokens must be non-empty and contain no whitespace"),
+    ],
+)
+def test_constructor_token_faults_name_their_row(tokens, message):
+    with pytest.raises(ValueError) as caught:
+        EmbeddingMatrix(tokens, np.ones((len(tokens), 2)))
+    assert str(caught.value) == message
+
+
+# The constructor's former per-token walk, the reference for the token rule.
+def _check_token(tok: str) -> None:
+    if not tok or tok.split() != [tok]:
+        raise ValueError(f"invalid token {tok!r}: tokens must be non-empty and contain no whitespace")
+
+
+def _validate_tokens(tokens: list[str]) -> None:
+    seen: set[str] = set()
+    for tok in tokens:
+        _check_token(tok)
+        if tok in seen:
+            raise ValueError(f"duplicate token {tok!r}")
+        seen.add(tok)
+
+
+# Whitespace as str.split finds it (\x85, \u3000 and \x1c among it), and
+# \u200b, which it does not count.
+RULE_TOKENS = st.sampled_from(["a", "b", "", " ", "\t", "\x85", "\u3000", "\x1c", "a b", "\u200b"])
+
+
+@given(st.lists(RULE_TOKENS, min_size=1, max_size=6))
+def test_constructor_applies_the_token_rule_like_a_per_token_walk(tokens):
+    # The first row whose prefix the walk rejects is the row the constructor names.
+    expected = None
+    for row in range(len(tokens)):
+        try:
+            _validate_tokens(tokens[: row + 1])
+        except ValueError as exc:
+            expected = f"row {row}: {exc}"
+            break
+    if expected is None:
+        assert EmbeddingMatrix(tokens, np.ones((len(tokens), 2))).tokens == tokens
+    else:
+        with pytest.raises(ValueError) as caught:
+            EmbeddingMatrix(tokens, np.ones((len(tokens), 2)))
+        assert str(caught.value) == expected
+
+
 def test_vectors_are_read_only(small_matrix):
     with pytest.raises(ValueError):
         small_matrix.vectors[0, 0] = 9.9
@@ -321,6 +372,53 @@ def test_binary_invalid_token_names_offset(tmp_path, token):
     message = f"{path}: offset {offset}: invalid token {token.decode()!r}"
     with pytest.raises(EmbeddingParseError, match=re.escape(message)):
         load_embeddings(path, format="binary")
+
+
+def binary_blob(names: list[bytes], rows: list[list[float]]) -> tuple[bytes, list[int]]:
+    """A binary file of ``names`` and float32 ``rows``, and the offset of each name."""
+    blob, offsets = f"{len(names)} {len(rows[0])}\n".encode(), []
+    for name, row in zip(names, rows):
+        offsets.append(len(blob))
+        blob += name + b" " + np.array(row, dtype="<f4").tobytes() + b"\n"
+    return blob, offsets
+
+
+@pytest.mark.parametrize(
+    "names, bad, message",
+    [
+        ([b"\xc3\xa9", b"b\xff", b"\xc3\xa9"], 1, "undecodable token bytes"),
+        ([b"\xc3\xa9", b"\xc3\xa9", b"b\xff"], 1, "duplicate token 'é'"),
+        ([b"a", b"a\xc3", b"b"], 1, "undecodable token bytes"),
+        ([b"a", b"a\tb", b"\xff", b"a"], 1, "invalid token 'a\\tb'"),
+        ([b"a", b"b", b"\xff\xfe", b"b"], 2, "undecodable token bytes"),
+    ],
+    ids=["undecodable-before-duplicate", "duplicate-before-undecodable", "cut-character",
+         "whitespace-before-undecodable", "undecodable-last-but-one"],
+)
+def test_binary_token_faults_name_the_first_in_file_order(tmp_path, names, bad, message):
+    path = tmp_path / "tok.bin"
+    blob, offsets = binary_blob(names, [[1.0, 2.0]] * len(names))
+    path.write_bytes(blob)
+    with pytest.raises(EmbeddingParseError) as caught:
+        load_embeddings(path, format="binary")
+    assert str(caught.value).startswith(f"{path}: offset {offsets[bad]}: {message}")
+
+
+def test_binary_rows_before_an_undecodable_name_are_checked_first(tmp_path):
+    path = tmp_path / "tok.bin"
+    blob, offsets = binary_blob([b"a", b"b\xff"], [[0.0, 0.0], [1.0, 2.0]])
+    path.write_bytes(blob)
+    with pytest.raises(EmbeddingParseError) as caught:
+        load_embeddings(path, format="binary")
+    assert str(caught.value) == f"{path}: offset {offsets[0] + 2}: zero vector for token 'a'"
+
+
+def test_binary_unterminated_first_token_names_offset(tmp_path):
+    path = tmp_path / "tok.bin"
+    path.write_bytes(b"1 2\nabc")
+    with pytest.raises(EmbeddingParseError) as caught:
+        load_embeddings(path, format="binary")
+    assert str(caught.value) == f"{path}: offset 4: unterminated token for vector 0"
 
 
 def test_text_embeddings_with_invalid_utf8_name_line(tmp_path):

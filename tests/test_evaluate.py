@@ -375,6 +375,19 @@ def test_a_term_shared_by_a_skipped_and_a_scored_question(royal_space):
         assert result.skipped == (SkippedQuery("R", "man", "emperor", "term 'emperor' has no in-vocabulary words"),)
 
 
+TINY = np.finfo(np.float64).tiny
+
+
+def norm_reason(term, vec):
+    """Why a normalized query term is skipped, or ``None``: the norm rule, in ``_resolve``'s words."""
+    square = vec @ vec
+    if TINY <= square < np.inf:
+        return None
+    if square == 0.0:
+        return f"term {term!r} composed to a zero vector"
+    return f"term {term!r} composed norm " + ("underflows" if square < TINY else "overflows") + " float64"
+
+
 def per_question(records, emb, index, *, setting, method, shift, normalize_queries):
     """A plain loop: compose, score and rank each question on its own."""
     outcomes, skipped = [], []
@@ -388,8 +401,8 @@ def per_question(records, emb, index, *, setting, method, shift, normalize_queri
                 reason = f"term {term!r} has no in-vocabulary words"
                 break
             if normalize_queries:
-                if np.linalg.norm(vec) == 0.0:
-                    reason = f"term {term!r} composed to a zero vector"
+                reason = norm_reason(term, vec)
+                if reason is not None:
                     break
                 vec = vec / np.linalg.norm(vec)
             vectors.append(vec)
@@ -419,16 +432,17 @@ def per_question(records, emb, index, *, setting, method, shift, normalize_queri
 
 
 # A small space whose terms recur across questions: "p n" composes to zero,
-# "zz" and "ZZ" are out of vocabulary, "t0 zz" composes like "t0" (so the two
-# candidates tie), "T1" and "t1" share an index entry, and t2-t4 are in
-# vocabulary but not candidates.  A question reading all three candidates
-# excludes every one.
-_TOKENS = ["t0", "t1", "t2", "t3", "t4", "p", "n"]
+# "u v" nearly so (its squares sum below tiny), "zz" and "ZZ" are out of
+# vocabulary, "t0 zz" composes like "t0" (so the two candidates tie), "T1" and
+# "t1" share an index entry, and t2-t4 are in vocabulary but not candidates.
+# A question reading all three candidates excludes every one.
+_TOKENS = ["t0", "t1", "t2", "t3", "t4", "p", "n", "u", "v"]
 _VECTORS = np.array(
-    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, -0.8], [-1.0, 0.5, 0.5], [1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]]
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, -0.8], [-1.0, 0.5, 0.5], [1.0, 2.0, 3.0], [-1.0, -2.0, -3.0],
+     [1.0, 1e-160, 0.0], [-1.0, 1e-160, 0.0]]
 )
 _CANDIDATES = ["t0", "T1", "t0 zz"]
-_TERMS = st.sampled_from(["t0", "t1", "t2", "t3", "t4", "p n", "zz", "ZZ", "t1 t2", "t0 zz", "T1"])
+_TERMS = st.sampled_from(["t0", "t1", "t2", "t3", "t4", "p n", "u v", "zz", "ZZ", "t1 t2", "t0 zz", "T1"])
 
 
 @st.composite
@@ -516,7 +530,7 @@ def _oracle_scores(records, emb, index, *, setting, method, shift, normalize_que
     for rec in records:
         terms = (rec.a, *kept(rec, setting)[0], rec.c)
         vectors = [compose_term(term, emb).vector for term in terms]
-        if any(vec is None or (normalize_queries and np.linalg.norm(vec) == 0.0) for vec in vectors):
+        if any(vec is None or (normalize_queries and norm_reason(t, vec)) for t, vec in zip(terms, vectors)):
             continue
         if {index.index_of(t) for t in terms} >= set(range(len(index))):
             continue
