@@ -77,10 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--lexicon", required=True, help="TSV: concept, term (one line per term)")
     p_gen.add_argument("--frequencies", required=True, help="TSV: term, corpus count")
     p_gen.add_argument("--allowlist", help="file of relation ids to keep, one per line")
-    p_gen.add_argument("--min-term-freq", type=int, default=25)
-    p_gen.add_argument("--min-one-to-one", type=int, default=50)
-    p_gen.add_argument("--pairs-per-relation", type=int, default=50)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--min-term-freq", type=int, default=GenerationConfig.min_term_freq)
+    p_gen.add_argument("--min-one-to-one", type=int, default=GenerationConfig.min_one_to_one)
+    p_gen.add_argument("--pairs-per-relation", type=int, default=GenerationConfig.pairs_per_relation)
+    p_gen.add_argument("--seed", type=int, default=GenerationConfig.rng_seed)
     p_gen.add_argument("--out-dir", required=True,
                        help="directory for dataset_ids.tsv, dataset_terms.tsv, statistics.tsv, review.tsv")
     p_gen.set_defaults(func=cmd_generate)

@@ -28,7 +28,9 @@ frequencies ``term<TAB>count``; allowlist one relation id per line.
 from __future__ import annotations
 
 import csv
+import functools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -180,11 +182,8 @@ def one_to_one_instances(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
     Input pairs are deduplicated first; output is sorted.
     """
     unique = sorted(set(pairs))
-    subject_degree: dict[str, int] = {}
-    object_degree: dict[str, int] = {}
-    for s, o in unique:
-        subject_degree[s] = subject_degree.get(s, 0) + 1
-        object_degree[o] = object_degree.get(o, 0) + 1
+    subject_degree = Counter(s for s, _ in unique)
+    object_degree = Counter(o for _, o in unique)
     return [(s, o) for s, o in unique if subject_degree[s] == 1 and object_degree[o] == 1]
 
 
@@ -239,15 +238,7 @@ def sample_and_bundle(
             f"need {config.pairs_per_relation}"
         )
     random.Random(f"{config.rng_seed}|{relation_id}").shuffle(unique)
-    chosen: list[str] = []
-    seen: set[str] = set()
-    for s, _ in unique:
-        if s in seen:
-            continue
-        seen.add(s)
-        chosen.append(s)
-        if len(chosen) == config.pairs_per_relation:
-            break
+    chosen = list(dict.fromkeys(s for s, _ in unique))[: config.pairs_per_relation]
     return [(s, tuple(subject_objects[s])) for s in chosen]
 
 
@@ -275,17 +266,14 @@ def generate(
     if not selected:
         raise GenerationError("no relations selected")
 
-    representatives: dict[str, str] = {}
-
+    @functools.cache
     def rep(concept: str) -> str:
-        if concept not in representatives:
-            term = choose_representative_term(concept, surviving, freqs)
-            try:
-                _check_term("lexicon term", term)
-            except ValueError as exc:
-                raise GenerationError(f"concept {concept!r}: {exc}") from None
-            representatives[concept] = term
-        return representatives[concept]
+        term = choose_representative_term(concept, surviving, freqs)
+        try:
+            _check_term("lexicon term", term)
+        except ValueError as exc:
+            raise GenerationError(f"concept {concept!r}: {exc}") from None
+        return term
 
     review = [
         ReviewRow(

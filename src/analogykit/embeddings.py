@@ -235,31 +235,21 @@ def build_candidate_index(terms: list[str], emb: EmbeddingMatrix) -> CandidateIn
     :func:`compose_term`'s vector divided by its ``np.linalg.norm``, bit for
     bit; only terms with several in-vocabulary words are averaged.
     """
-    surfaces: list[str] = []
-    keys: list[str] = []
-    word_rows: list[list[int]] = []
-    seen: set[str] = set()
-    n_discarded = n_duplicates = 0
+    first: dict[str, str] = {}
     for term in terms:
-        words = normalize_term(term)
-        key = " ".join(words)
-        if key in seen:
-            n_duplicates += 1
-            continue
-        seen.add(key)
-        rows = [emb._row[w] for w in words if w in emb._row]
-        if not rows:
-            n_discarded += 1
-            continue
-        surfaces.append(term)
-        keys.append(key)
-        word_rows.append(rows)
+        first.setdefault(term_key(term), term)
+    row_of = emb._row
+    word_rows = {key: rows for key in first if (rows := [row_of[w] for w in key.split() if w in row_of])}
+    keys = list(word_rows)
+    surfaces = [first[key] for key in keys]
+    n_duplicates = len(terms) - len(first)
+    n_discarded = len(first) - len(keys)
 
     # One float64 matrix: the gather's own copy when the vectors are float64 already.
-    matrix = emb.vectors[[rows[0] for rows in word_rows]].astype(np.float64, copy=False)
+    matrix = emb.vectors[[rows[0] for rows in word_rows.values()]].astype(np.float64, copy=False)
     # The mean of one row is 0.0 + row: -0.0 becomes 0.0, nothing else changes.
     matrix += 0.0
-    for i, rows in enumerate(word_rows):
+    for i, rows in enumerate(word_rows.values()):
         if len(rows) > 1:
             matrix[i] = emb.vectors[rows].astype(np.float64, copy=False).mean(axis=0)
     # sqrt(v.dot(v)) is how np.linalg.norm computes a vector's norm; the

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from analogykit.cli import _read_candidate_terms, main
-from analogykit.datagen import load_allowlist, load_lexicon
+from analogykit.cli import _read_candidate_terms, build_parser, main
+from analogykit.datagen import GenerationConfig, load_allowlist, load_lexicon
 from analogykit.dataset import AnalogyRecord, save_dataset
 from analogykit.embeddings import EmbeddingMatrix, save_embeddings
 from analogykit.evaluate import SkippedQuery
@@ -300,6 +300,15 @@ def test_generate_seed_changes_sample(tmp_path, capsys):
     assert main(generate_args(paths, out_b, "--seed", "9")) == 0
     capsys.readouterr()
     assert (out_a / "dataset_ids.tsv").read_bytes() != (out_b / "dataset_ids.tsv").read_bytes()
+
+
+def test_generate_option_defaults_are_the_config_defaults():
+    required = ["--triples", "t", "--lexicon", "l", "--frequencies", "f", "--out-dir", "o"]
+    args = build_parser().parse_args(["generate", *required])
+    config = GenerationConfig()
+    assert (args.min_term_freq, args.min_one_to_one, args.pairs_per_relation, args.seed) == (
+        config.min_term_freq, config.min_one_to_one, config.pairs_per_relation, config.rng_seed
+    )
 
 
 def test_generate_allowlist_can_reject_everything(tmp_path, capsys):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import random
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import analogykit.datagen as datagen
 
 from analogykit.datagen import (
     GenerationConfig,
@@ -184,6 +189,39 @@ def test_sampled_subjects_are_distinct_and_counted():
     assert len(subjects) == len(set(subjects)) == 7
 
 
+def first_drawn_bundles(relation_id, pairs, config):
+    """The subject draw as a loop: shuffle the sorted unique pairs, keep each subject's first draw."""
+    unique = sorted(set(pairs))
+    random.Random(f"{config.rng_seed}|{relation_id}").shuffle(unique)
+    chosen: list[str] = []
+    seen: set[str] = set()
+    for s, _ in unique:
+        if s in seen:
+            continue
+        seen.add(s)
+        chosen.append(s)
+        if len(chosen) == config.pairs_per_relation:
+            break
+    return [(s, tuple(sorted({o for t, o in pairs if t == s}))) for s in chosen]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sampled_subjects_follow_the_first_drawn_order(data):
+    names = st.sampled_from([f"s{i}" for i in range(8)])
+    pairs = data.draw(
+        st.lists(st.tuples(names, names.map(lambda s: "o" + s[1:])), min_size=1, max_size=40)
+        .filter(lambda ps: len({s for s, _ in ps}) >= 2)
+    )
+    # Pairs repeat, and subjects repeat with other objects.
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=10))
+    n_subjects = len({s for s, _ in pairs})
+    config = GenerationConfig(
+        pairs_per_relation=data.draw(st.integers(2, n_subjects)), rng_seed=data.draw(st.integers())
+    )
+    assert sample_and_bundle("R", pairs, config) == first_drawn_bundles("R", pairs, config)
+
+
 def test_too_few_subjects_names_the_relation():
     pairs = [("s1", "o1"), ("s2", "o2")]
     with pytest.raises(GenerationError, match="relation 'Rx'.*2 distinct subjects.*need 3"):
@@ -295,6 +333,33 @@ def test_generate_uses_highest_count_term_for_rendering():
     result = generate(triples, lexicon, freqs, config)
     rendered = {t.a for i, t in zip(result.id_records, result.term_records) if i.a == "S0x0"}
     assert rendered == {"frequent alias"}
+
+
+def test_generate_chooses_each_rendered_concept_once(monkeypatch):
+    calls: Counter[str] = Counter()
+
+    def counting(concept, lexicon, freqs):
+        calls[concept] += 1
+        return choose_representative_term(concept, lexicon, freqs)
+
+    monkeypatch.setattr(datagen, "choose_representative_term", counting)
+    # Every subject is sampled, so the review rows render concepts the bundles render again.
+    triples, lexicon, freqs = synthetic_inputs(2, 6)
+    config = GenerationConfig(min_one_to_one=6, pairs_per_relation=6, rng_seed=5)
+    result = generate(triples, lexicon, freqs, config)
+    assert all(len(row.sample_pairs) == 5 for row in result.review)
+    rendered = {t for rec in result.id_records for t in (rec.a, rec.c, *rec.b_list, *rec.d_list)}
+    assert calls == Counter(rendered)
+
+
+def test_generate_names_the_concept_of_a_lexicon_term_breaking_the_term_rule():
+    triples, lexicon, freqs = synthetic_inputs(1, 3)
+    lexicon["S0x1"] = ["bad|name"]
+    freqs["bad|name"] = 100
+    config = GenerationConfig(min_one_to_one=3, pairs_per_relation=3, rng_seed=0)
+    with pytest.raises(GenerationError) as excinfo:
+        generate(triples, lexicon, freqs, config)
+    assert str(excinfo.value) == "concept 'S0x1': lexicon term 'bad|name' contains '|'"
 
 
 def test_generate_rejects_colliding_subject_terms():
