@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import logging
 import unicodedata
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,10 @@ logger = logging.getLogger(__name__)
 
 EMBEDDING_FORMATS = ("text", "text-noheader", "binary")
 _TINY = np.finfo(np.float64).tiny
+# Bytes of float64 rows gathered per step of the index build.
+_GATHER_BYTES = 2**20
+# Text lines parsed per np.loadtxt call.
+_TEXT_LINES = 4096
 
 
 class EmbeddingParseError(ValueError):
@@ -245,8 +251,12 @@ def build_candidate_index(terms: list[str], emb: EmbeddingMatrix) -> CandidateIn
     n_duplicates = len(terms) - len(first)
     n_discarded = len(first) - len(keys)
 
-    # One float64 matrix: the gather's own copy when the vectors are float64 already.
-    matrix = emb.vectors[[rows[0] for rows in word_rows.values()]].astype(np.float64, copy=False)
+    # One float64 matrix, gathered a slice at a time: float32 rows widen exactly as they land.
+    heads = [rows[0] for rows in word_rows.values()]
+    matrix = np.empty((len(heads), emb.dim))
+    step = max(1, _GATHER_BYTES // (8 * emb.dim))
+    for i in range(0, len(heads), step):
+        matrix[i : i + step] = emb.vectors[heads[i : i + step]]
     # The mean of one row is 0.0 + row: -0.0 becomes 0.0, nothing else changes.
     matrix += 0.0
     for i, rows in enumerate(word_rows.values()):
@@ -332,7 +342,69 @@ def _check_values(tokens: list[str], vectors: np.ndarray, where, error: type[Val
 
 
 def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
-    """Parse all values in one ``np.loadtxt`` call; scan line by line only on a fault."""
+    """Stream the rows into one float64 matrix, ``_TEXT_LINES`` lines per ``np.loadtxt`` call.
+
+    The matrix is sized from the header, or grown a chunk at a time without
+    one, so the load never holds the file's bytes or all of its lines.  On
+    any fault the file is read again, whole, and :func:`_read_text_slowly`
+    names the first bad line.
+    """
+    lines = open_text(path, EmbeddingParseError)
+    try:
+        parsed = _stream_text(lines, force_headerless, path.stat().st_size)
+    finally:
+        lines.close()
+    start, tokens, vectors = parsed or _read_text_slowly(path, force_headerless)
+    _check_values(tokens, vectors, lambda i: f"{path}:{start + i + 1}", EmbeddingParseError)
+    return _adopt(EmbeddingMatrix, tokens, vectors)
+
+
+def _stream_text(lines: Iterator[str], force_headerless: bool, size: int) -> tuple[int, list[str], np.ndarray] | None:
+    """The first data line's number less one, the tokens and the vectors; ``None`` at any fault."""
+    head = list(islice(lines, 1))
+    header = None if force_headerless or not head else _parse_header(head[0].split())
+    start = 0 if header is None else 1
+    if header is None:
+        lines = chain(head, lines)
+    elif header[0] * (2 * header[1] + 1) > size:
+        return None  # a row takes at least 2 * dim + 1 bytes: the file cannot hold the header's rows
+    tokens: list[str] = []
+
+    def values(chunk: list[str]):
+        # A ValueError here, or from np.loadtxt, is a fault.
+        for line in chunk:
+            token, rest = line.split(None, 1)  # a line without values
+            tokens.append(token)
+            yield rest
+
+    vectors = None
+    n = 0
+    while chunk := list(islice(lines, _TEXT_LINES)):
+        if vectors is None:
+            dim = header[1] if header is not None else len(chunk[0].split()) - 1
+            if dim < 1:
+                return None
+            vectors = np.empty((0 if header is None else header[0], dim))
+        if n + len(chunk) > len(vectors):
+            if header is not None:
+                return None
+            vectors.resize((n + len(chunk), dim), refcheck=False)
+        try:
+            rows = np.loadtxt(values(chunk), dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if rows.shape != (len(chunk), dim):
+            return None
+        vectors[n : n + len(chunk)] = rows
+        n += len(chunk)
+        del chunk, rows  # before the next chunk is read
+    if vectors is None or n != len(vectors) or _token_fault(tokens):
+        return None
+    return start, tokens, vectors
+
+
+def _read_text_slowly(path: Path, force_headerless: bool) -> tuple[int, list[str], np.ndarray]:
+    """Raise for the first fault of a text file, holding all of its lines; the rows if none is found."""
     lines = list(open_text(path, EmbeddingParseError))
     if not lines:
         raise EmbeddingParseError(f"{path}: empty file")
@@ -346,33 +418,13 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
     dim = header[1] if header is not None else len(data[0].split()) - 1
     if dim < 1:
         raise EmbeddingParseError(f"{path}:{start + 1}: no vector values on first data line")
-
-    tokens: list[str] = []
-
-    def values():
-        # A ValueError here, or from np.loadtxt, sends the file to _scan_text.
-        for line in data:
-            token, rest = line.split(None, 1)  # a line without values
-            tokens.append(token)
-            yield rest
-
-    def where(i: int) -> str:
-        return f"{path}:{start + i + 1}"
-
-    try:
-        vectors = np.loadtxt(values(), dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        vectors = None
-    if vectors is None or vectors.shape != (len(data), dim) or _token_fault(tokens):
-        tokens, vectors = _scan_text(data, dim, where)
-    _check_values(tokens, vectors, where, EmbeddingParseError)
-    return _adopt(EmbeddingMatrix, tokens, vectors)
+    return start, *_scan_text(data, dim, lambda i: f"{path}:{start + i + 1}")
 
 
 def _scan_text(data: list[str], dim: int, where) -> tuple[list[str], np.ndarray]:
     """Raise for the first bad line, in the order a line-by-line read meets the faults.
 
-    Runs only when the bulk parse or :func:`_token_fault` has failed.
+    Runs only when the streamed parse or :func:`_token_fault` has failed.
     ``str.split`` and ``np.loadtxt`` find the same fields, and
     ``_parse_value`` accepts the values ``np.loadtxt`` does, so some line is
     bad; should none be, the rows read here are the file's rows.  It checks

@@ -56,9 +56,9 @@ from .scoring import DEFAULT_EPSILON, METHODS, combine_rows, query_directions, r
 # index.  Over both passes of the benchmark's eval-allinfo workload (2 cores,
 # 2 OpenBLAS threads), 4, 8 and 16 MiB took 0.47-0.93, 0.33 and 0.27 s and
 # raised peak RSS by 5.9, 9.4 and 17.0 MB: speed bought with memory.  With
-# binary vectors stored as float32, 24 MiB still raised the load-text
-# workload's peak RSS from 224 to 248 MB (+10.5 %): its text vectors stay
-# float64, so it frees no memory to pay for a wider block.
+# streamed text loads and a gathered index, 12, 16 and 24 MiB raised the
+# peak RSS of 8 MiB (181 MB on the eval workloads, 213 MB on load-text) by up
+# to 16, 23 and 19 MB over all workloads, seeds 1 and 3 (table in CHANGES.md).
 _BLOCK_BYTES = 8 * 2**20
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from analogykit import embeddings
 from analogykit.embeddings import (
     CandidateIndex,
     EmbeddingMatrix,
@@ -449,6 +450,67 @@ def test_text_error_after_a_form_feed_names_the_text_mode_line(tmp_path):
         load_embeddings(path, format="text-noheader")
 
 
+def test_headerless_text_loads_like_its_headered_twin_across_chunks(tmp_path):
+    # A headerless matrix grows a chunk at a time; the rows must land where a sized one puts them.
+    n = 2 * embeddings._TEXT_LINES + 3
+    emb = EmbeddingMatrix([f"w{i}" for i in range(n)], np.random.default_rng(3).normal(size=(n, 3)))
+    save_embeddings(emb, tmp_path / "with.txt", format="text")
+    save_embeddings(emb, tmp_path / "without.txt", format="text-noheader")
+    headered = load_embeddings(tmp_path / "with.txt")
+    for fmt in ("text", "text-noheader"):
+        headerless = load_embeddings(tmp_path / "without.txt", format=fmt)
+        assert headerless.tokens == headered.tokens == emb.tokens
+        assert headerless.vectors.shape == (n, 3)
+        assert np.array_equal(headerless.vectors, headered.vectors)
+        assert np.array_equal(headerless.vectors, emb.vectors)
+
+
+def test_text_fault_past_the_first_chunk_names_its_line(tmp_path):
+    n = embeddings._TEXT_LINES + 10
+    rows = [f"w{i} 1.0 2.0" for i in range(n)]
+    rows[-3] = f"w{n - 3} 1.0 x"
+    path = tmp_path / "late.txt"
+    path.write_text(f"{n} 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(EmbeddingParseError, match=rf"late\.txt:{n - 1}: could not convert string to float: 'x'"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1000000000000 2\na 1 2\n", "header declares 1000000000000 vectors, found 1"),
+        ("2 1000000000000\na 1 2\nb 3 4\n", "2: expected 1000000000000 values, found 2"),
+    ],
+    ids=["count", "dim"],
+)
+def test_a_header_larger_than_its_file_is_a_parse_error(tmp_path, text, message):
+    # The loader sizes its matrix from the header only when the file can hold that many values.
+    path = tmp_path / "big.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(EmbeddingParseError, match=re.escape(message)):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("fmt", ["text", "text-noheader"])
+def test_text_load_holds_its_matrix_and_one_chunk_of_lines(tmp_path, fmt):
+    # Without a header the matrix grows in place, a chunk at a time.
+    n, dim = 20_000, 50
+    emb = EmbeddingMatrix([f"w{i}" for i in range(n)], np.random.default_rng(9).normal(size=(n, dim)))
+    path = tmp_path / "big.txt"
+    save_embeddings(emb, path, format=fmt)
+    tracemalloc.start()
+    try:
+        loaded = load_embeddings(path, format=fmt)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.vectors, emb.vectors)
+    # Past what the matrix keeps (its vectors, tokens and row map), the load holds one chunk of
+    # lines and its parsed rows: about 5 MB here.  The file's bytes, or all of its lines, are 19 MB.
+    allowance = 8 * 2**20
+    assert peak - kept < allowance < path.stat().st_size / 2
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown embedding format"):
         load_embeddings(tmp_path / "x", format="protobuf")
@@ -626,6 +688,26 @@ def test_index_build_allocates_one_index_sized_matrix():
         tracemalloc.stop()
     # The float64 matrix is the index's own: a second copy of it would double the peak.
     assert peak < 1.5 * index.matrix.nbytes
+
+
+def test_index_build_from_float32_vectors_allocates_only_the_index(tmp_path):
+    # Rows are gathered into the float64 index a slice at a time, never as a float32 copy of it.
+    n, dim = 2000, 1000
+    emb = EmbeddingMatrix([f"w{i}" for i in range(n)], np.random.default_rng(5).normal(size=(n, dim)))
+    save_embeddings(emb, tmp_path / "vec.bin", format="binary")
+    loaded = load_embeddings(tmp_path / "vec.bin", format="binary")
+    assert loaded.vectors.dtype == np.float32
+    terms = [f"w{i}" for i in range(n)] + ["w0 w1", "w2 w3 w4"]
+    tracemalloc.start()
+    try:
+        index = build_candidate_index(terms, loaded)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * index.matrix.nbytes
+    # The gather widens exactly: the same rows held as float64 give the same index, bit for bit.
+    widened = EmbeddingMatrix(loaded.tokens, loaded.vectors.astype(np.float64))
+    assert np.array_equal(index.matrix, build_candidate_index(terms, widened).matrix)
 
 
 @pytest.mark.parametrize("surface", ["alpha\r\nbeta", "alpha\nbeta", "alpha\rbeta"])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import pytest
 
 from analogykit.datagen import GenerationError
@@ -31,3 +34,34 @@ def test_invalid_utf8_names_the_text_mode_line(tmp_path, newline):
     with pytest.raises(GenerationError, match=r"bad\.txt:3: not valid UTF-8 \(invalid start byte"):
         open_text(path, GenerationError)
 
+
+def test_a_dropped_half_read_stream_closes_its_file(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_text("a\nb\nc\n", encoding="utf-8")
+    lines = open_text(path)
+    assert next(lines) == "a\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del lines
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_a_file_turned_invalid_after_the_check_names_its_line(tmp_path):
+    path = tmp_path / "changed.txt"
+    path.write_bytes(b"a\nb\n")
+    lines = open_text(path, GenerationError)
+    path.write_bytes(b"a\nb\n\xffc\n")
+    with pytest.raises(GenerationError, match=r"changed\.txt:3: not valid UTF-8 \(invalid start byte"):
+        list(lines)
+
+
+def test_the_check_reads_chunks_across_a_split_character_and_names_a_late_line(tmp_path):
+    # A three-byte character straddles the first chunk boundary; the bad byte lies past it.
+    first = "x" * (2**20 - 2) + "€\n"
+    path = tmp_path / "big.txt"
+    path.write_bytes(f"{first}y\n".encode())
+    assert list(open_text(path)) == [first, "y\n"]
+    path.write_bytes(f"{first}y\n".encode() + b"\xfez\n")
+    with pytest.raises(ValueError, match=r"big\.txt:3: not valid UTF-8 \(invalid start byte: b'\\xfe' at byte"):
+        open_text(path)
