@@ -13,6 +13,12 @@ Terms are checked where they enter: triple fields as they load, a lexicon
 term when it is chosen as a representative, and each relation's records
 once, in the first row :func:`.dataset.combine_pairs` builds.
 
+``generate`` pauses cyclic garbage collection while it runs.  It builds
+about ``n * (n - 1)`` records per relation, and each is a container that
+the collector would walk again in every collection it survives, yet they
+hold only strings and tuples of strings and so never form a cycle.  The
+caller's ``gc`` state is restored when the call returns or raises.
+
 Randomness uses Python's ``random.Random`` (Mersenne Twister), seeded per
 relation with the string ``"<seed>|<relation_id>"`` (review-report
 sampling uses ``"<seed>|review|<relation_id>"``), so output is portable
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import gc
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -253,7 +260,25 @@ def generate(
     Relations are emitted in sorted id order; within a relation, records
     follow the exhaustive combination order.  ``id_records[k]`` and
     ``term_records[k]`` describe the same analogy in the two renderings.
+
+    Cyclic garbage collection is paused for the call, and the caller's
+    ``gc`` state restored on return or error.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _generate(triples, lexicon, freqs, config)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _generate(
+    triples: list[Triple],
+    lexicon: dict[str, list[str]],
+    freqs: dict[str, int],
+    config: GenerationConfig,
+) -> GenerationResult:
     surviving = frequent_concepts(lexicon, freqs, config.min_term_freq)
     relation_pairs: dict[str, list[tuple[str, str]]] = {}
     for t in triples:

@@ -63,12 +63,13 @@ def _check_terms(field: str, values: tuple[str, ...]) -> None:
         raise ValueError(f"{field} {values!r} contains duplicates")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalogyRecord:
     """One analogy question: ``a : b_list :: c : d_list``.
 
     List order is meaningful: the first entry of each list is the canonical
-    one kept by the reduced evaluation settings.
+    one kept by the reduced evaluation settings.  The five fields are slots,
+    so a record carries no ``__dict__``.
     """
 
     relation_id: str
@@ -127,21 +128,28 @@ def save_dataset(records: list[AnalogyRecord], path: str | Path) -> None:
             )
 
 
+# Slot descriptors, looked up once, through which _trusted_record fills a record.
+_SET_RELATION_ID = AnalogyRecord.relation_id.__set__
+_SET_A = AnalogyRecord.a.__set__
+_SET_B_LIST = AnalogyRecord.b_list.__set__
+_SET_C = AnalogyRecord.c.__set__
+_SET_D_LIST = AnalogyRecord.d_list.__set__
+
+
 def _trusted_record(
     relation_id: str, a: str, b_list: tuple[str, ...], c: str, d_list: tuple[str, ...]
 ) -> AnalogyRecord:
     """An ``AnalogyRecord`` built without ``__post_init__``, from values already checked.
 
-    One ``object.__setattr__`` per field, in field order, as the dataclass
-    ``__init__`` sets them; a ``__dict__.update`` would give each instance
-    its own, larger dict.
+    Each slot is filled through its member descriptor, which the frozen
+    ``__setattr__`` does not guard.
     """
     record = object.__new__(AnalogyRecord)
-    object.__setattr__(record, "relation_id", relation_id)
-    object.__setattr__(record, "a", a)
-    object.__setattr__(record, "b_list", b_list)
-    object.__setattr__(record, "c", c)
-    object.__setattr__(record, "d_list", d_list)
+    _SET_RELATION_ID(record, relation_id)
+    _SET_A(record, a)
+    _SET_B_LIST(record, b_list)
+    _SET_C(record, c)
+    _SET_D_LIST(record, d_list)
     return record
 
 

@@ -143,6 +143,45 @@ def test_evaluate_reports_each_count_once_on_stderr(tmp_path):
     ]
 
 
+def test_quiet_evaluate_keeps_only_warnings_on_stderr(tmp_path):
+    missing = AnalogyRecord(relation_id="royal", a="man", b_list=("woman",), c="king", d_list=("empress",))
+    paths = write_royal_inputs(tmp_path, [royal_record(), royal_record(a="emperor"), missing])
+    proc = subprocess.run(
+        [sys.executable, "-m", "analogykit", "-q", *evaluate_args(paths)],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "WARNING analogykit.cli: no listed answer of 'man' : 'king' is in the candidate index;"
+        " question scores 0",
+        "skipped 1 of 3 analogy questions",
+    ]
+
+
+@pytest.mark.parametrize("flags, logged", [([], True), (["-v"], True), (["--verbose"], True),
+                                           (["-q"], False), (["--quiet"], False)])
+def test_generate_logs_info_unless_quiet(tmp_path, flags, logged):
+    paths = write_generation_inputs(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "analogykit", *flags, *generate_args(paths, tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    info = ["INFO analogykit.cli: loaded 12 triples, 24 lexicon concepts and 24 term counts"]
+    assert proc.stderr.splitlines() == (info if logged else [])
+
+
+def test_verbose_and_quiet_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as caught:
+        build_parser().parse_args(["-v", "-q", "report", "--outcomes", "x.csv"])
+    assert caught.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_evaluate_underflowing_row_names_file_and_line(tmp_path, capsys):
     # Every value is finite and the norm is non-zero, but the squares sum to a subnormal.
     paths = write_royal_inputs(tmp_path, [royal_record()])

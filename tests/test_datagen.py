@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import re
 from collections import Counter
@@ -405,6 +406,63 @@ def test_generate_is_deterministic():
     second = generate(list(reversed(triples)), lexicon, freqs, config)
     assert first.term_records == second.term_records
     assert first.id_records == second.id_records
+
+
+# --------------------------------------------------------- garbage collection
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the process's ``gc`` state whatever a test leaves it in."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def generate_or_error(succeed):
+    """One ``generate`` call that returns, or that raises ``GenerationError`` through the allowlist."""
+    triples, lexicon, freqs = synthetic_inputs(1, 5)
+    allowlist = None if succeed else frozenset({"other"})
+    config = GenerationConfig(min_one_to_one=5, pairs_per_relation=5, allowlist=allowlist)
+    if succeed:
+        generate(triples, lexicon, freqs, config)
+        return
+    with pytest.raises(GenerationError, match="no relations selected"):
+        generate(triples, lexicon, freqs, config)
+
+
+@pytest.mark.parametrize("succeed", [True, False], ids=["success", "error"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_generate_restores_the_callers_gc_state(gc_state, enabled, succeed):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    generate_or_error(succeed)
+    assert gc.isenabled() is enabled
+
+
+def test_generate_runs_no_collection(gc_state):
+    # 2 x 600 records and their tuples are far past the collector's first threshold.
+    triples, lexicon, freqs = synthetic_inputs(2, 25)
+    config = GenerationConfig(min_one_to_one=25, pairs_per_relation=25)
+    phases = []
+
+    def spy(phase, info):
+        phases.append(phase)
+
+    gc.enable()
+    gc.callbacks.append(spy)
+    try:
+        result = generate(triples, lexicon, freqs, config)
+    finally:
+        gc.callbacks.remove(spy)
+    assert len(result.term_records) == 1200
+    assert phases == []
+    assert gc.isenabled()
 
 
 # -------------------------------------------------------------------- files

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import tracemalloc
 from dataclasses import asdict
 from itertools import permutations
@@ -239,6 +241,25 @@ def test_combined_records_are_the_records_the_checked_constructor_builds(relatio
         rebuilt = AnalogyRecord(**asdict(record))
         assert rebuilt == record
         assert hash(rebuilt) == hash(record)
+
+
+def test_records_have_no_instance_dict():
+    combined = combine_pairs("R", [("s0", ("o0",)), ("s1", ("o1", "p1")), ("s2", ("o2",))])
+    for record in [make_record(), combined[0], combined[-1]]:
+        assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("clone", [copy.copy, lambda r: pickle.loads(pickle.dumps(r))], ids=["copy", "pickle"])
+def test_a_combined_record_survives_copy_and_pickle(clone):
+    pairs = [("s0", ("o0",)), ("s1", ("o1", "p1")), ("s2", ("o2",))]
+    combined, checked = combine_pairs("R", pairs), checked_combination("R", pairs)
+    # The last record is built unchecked, from row 0's fields.
+    twin = checked[-1]
+    cloned = clone(combined[-1])
+    assert cloned is not combined[-1]
+    assert cloned == combined[-1] == twin
+    assert hash(cloned) == hash(twin)
+    assert (cloned.b_list, cloned.d_list) == (("o2",), ("o1", "p1"))
 
 
 PAIRS = [("s0", ("o0", "p0")), ("s1", ("o1",)), ("s2", ("o2", "p2")), ("s3", ("o3",))]
