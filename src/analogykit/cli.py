@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 2 when evaluation skipped any analogy question
 (the count goes to stderr), 1 on fatal errors such as unreadable input.
-Log lines go to stderr at INFO level; ``-v`` before the subcommand lowers
-it to DEBUG and ``-q`` raises it to WARNING.
+Log lines go to stderr at INFO level; ``-q`` before the subcommand raises
+it to WARNING.
 """
 
 from __future__ import annotations
@@ -52,11 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="analogykit",
         description="Evaluate analogy completion over word embeddings and generate analogy datasets.",
     )
-    verbosity = parser.add_mutually_exclusive_group()
-    verbosity.add_argument("-v", "--verbose", dest="log_level", action="store_const", const=logging.DEBUG,
-                           default=logging.INFO, help="log debug messages too")
-    verbosity.add_argument("-q", "--quiet", dest="log_level", action="store_const", const=logging.WARNING,
-                           help="log only warnings and errors")
+    parser.add_argument("-q", "--quiet", action="store_true", help="log only warnings and errors")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("evaluate", help="score an analogy dataset against embeddings")
@@ -187,8 +183,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=args.log_level, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
+        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )
+    # Set on the package logger too: basicConfig leaves an already configured root alone.
+    logging.getLogger("analogykit").setLevel(logging.WARNING if args.quiet else logging.NOTSET)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

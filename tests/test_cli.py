@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import logging
 import subprocess
 import sys
 import tempfile
@@ -160,8 +161,7 @@ def test_quiet_evaluate_keeps_only_warnings_on_stderr(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("flags, logged", [([], True), (["-v"], True), (["--verbose"], True),
-                                           (["-q"], False), (["--quiet"], False)])
+@pytest.mark.parametrize("flags, logged", [([], True), (["-q"], False), (["--quiet"], False)])
 def test_generate_logs_info_unless_quiet(tmp_path, flags, logged):
     paths = write_generation_inputs(tmp_path)
     proc = subprocess.run(
@@ -175,11 +175,14 @@ def test_generate_logs_info_unless_quiet(tmp_path, flags, logged):
     assert proc.stderr.splitlines() == (info if logged else [])
 
 
-def test_verbose_and_quiet_exclude_each_other(capsys):
-    with pytest.raises(SystemExit) as caught:
-        build_parser().parse_args(["-v", "-q", "report", "--outcomes", "x.csv"])
-    assert caught.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+def test_quiet_holds_when_logging_is_already_configured(tmp_path, caplog):
+    # caplog's handler on the root logger turns main's basicConfig into a no-op.
+    caplog.set_level(logging.INFO)
+    paths = write_generation_inputs(tmp_path)
+    assert main(["-q", *generate_args(paths, tmp_path / "quiet")]) == 0
+    assert caplog.messages == []
+    assert main(generate_args(paths, tmp_path / "default")) == 0
+    assert caplog.messages == ["loaded 12 triples, 24 lexicon concepts and 24 term counts"]
 
 
 def test_evaluate_underflowing_row_names_file_and_line(tmp_path, capsys):

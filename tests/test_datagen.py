@@ -445,15 +445,28 @@ def test_generate_restores_the_callers_gc_state(gc_state, enabled, succeed):
     assert gc.isenabled() is enabled
 
 
-def test_generate_runs_no_collection(gc_state):
+def test_generate_runs_no_collection(gc_state, monkeypatch):
     # 2 x 600 records and their tuples are far past the collector's first threshold.
     triples, lexicon, freqs = synthetic_inputs(2, 25)
     config = GenerationConfig(min_one_to_one=25, pairs_per_relation=25)
+    body = datagen._generate
+    inside = False
     phases = []
 
-    def spy(phase, info):
-        phases.append(phase)
+    def watched(*args):
+        nonlocal inside
+        inside = True
+        try:
+            return body(*args)
+        finally:
+            inside = False
 
+    def spy(phase, info):
+        # Only the body counts: once the caller's state is back, a deferred collection may start.
+        if inside:
+            phases.append(phase)
+
+    monkeypatch.setattr(datagen, "_generate", watched)
     gc.enable()
     gc.callbacks.append(spy)
     try:
