@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from collections.abc import Iterator
+from collections.abc import Container
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -101,12 +101,12 @@ class EmbeddingMatrix:
         _check_values(tokens, vectors, lambda i: f"row {i}", ValueError)
         self._init(tokens, vectors)
 
-    def _init(self, tokens: list[str], vectors: np.ndarray) -> None:
-        """Store arrays that the constructor or a loader has already checked."""
+    def _init(self, tokens: list[str], vectors: np.ndarray, row: dict[str, int] | None = None) -> None:
+        """Store arrays that the constructor or a loader has already checked; ``row`` maps each token to its row."""
         vectors.flags.writeable = False
         self.tokens: list[str] = tokens
         self.vectors: np.ndarray = vectors
-        self._row: dict[str, int] = {tok: i for i, tok in enumerate(tokens)}
+        self._row: dict[str, int] = {tok: i for i, tok in enumerate(tokens)} if row is None else row
 
     @property
     def dim(self) -> int:
@@ -344,113 +344,107 @@ def _check_values(tokens: list[str], vectors: np.ndarray, where, error: type[Val
 def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
     """Stream the rows into one float64 matrix, ``_TEXT_LINES`` lines per ``np.loadtxt`` call.
 
-    The matrix is sized from the header, or grown a chunk at a time without
-    one, so the load never holds the file's bytes or all of its lines.  On
-    any fault the file is read again, whole, and :func:`_read_text_slowly`
-    names the first bad line.
+    The matrix is sized from the header when the file can hold that many
+    rows, and grown a chunk at a time otherwise, so the load holds one chunk
+    of lines, never the file's bytes or all of its lines, also on a fault.
+    Each chunk is checked as it lands: its tokens against all before them,
+    its rows by :func:`_check_values`.  A chunk that does not parse or
+    repeats a token goes to :func:`_scan_text`, which names its first bad
+    line.  The rest of the file is then counted, so that a header count the
+    rows do not match is named first.
     """
     lines = open_text(path, EmbeddingParseError)
     try:
-        parsed = _stream_text(lines, force_headerless, path.stat().st_size)
+        head = next(lines, None)
+        if head is None:
+            raise EmbeddingParseError(f"{path}: empty file")
+        header = None if force_headerless else _parse_header(head.split())
+        if header is None:
+            start, dim, data = 0, len(head.split()) - 1, chain([head], lines)
+            if dim < 1:
+                raise EmbeddingParseError(f"{path}:1: no vector values on first data line")
+        else:
+            start, dim, data = 1, header[1], lines
+        # A row takes at least 2 * dim + 1 bytes: a header the file cannot hold sizes nothing.
+        fits = header is not None and header[0] * (2 * dim + 1) <= path.stat().st_size
+        vectors = np.empty((header[0] if fits else 0, dim))
+        row: dict[str, int] = {}  # the rows' tokens, in file order
+        n = 0
+        fault = None
+
+        def where(i: int) -> str:
+            return f"{path}:{start + n + i + 1}"
+
+        def values(chunk: list[str], names: list[str]):
+            for line in chunk:
+                token, text = line.split(None, 1)  # a ValueError on a line without values
+                names.append(token)
+                yield text
+
+        while chunk := list(islice(data, _TEXT_LINES)):
+            names: list[str] = []
+            try:
+                rows = np.loadtxt(values(chunk, names), dtype=np.float64, comments=None, ndmin=2)
+            except ValueError:
+                rows = None
+            parsed = rows is not None and rows.shape == (len(chunk), dim)
+            try:
+                if not (parsed and len(set(names)) == len(chunk) and row.keys().isdisjoint(names)):
+                    names, rows = _scan_text(chunk, dim, where, row)
+                _check_values(names, rows, where, EmbeddingParseError)
+            except EmbeddingParseError as exc:
+                fault = exc
+                n += len(chunk) + sum(1 for _ in data)
+                break
+            row.update(zip(names, range(n, n + len(chunk))))
+            if n + len(chunk) > len(vectors):
+                vectors.resize((n + len(chunk), dim), refcheck=False)
+            vectors[n : n + len(chunk)] = rows
+            n += len(chunk)
+            del chunk, rows, names  # before the next chunk is read
     finally:
         lines.close()
-    start, tokens, vectors = parsed or _read_text_slowly(path, force_headerless)
-    _check_values(tokens, vectors, lambda i: f"{path}:{start + i + 1}", EmbeddingParseError)
-    return _adopt(EmbeddingMatrix, tokens, vectors)
-
-
-def _stream_text(lines: Iterator[str], force_headerless: bool, size: int) -> tuple[int, list[str], np.ndarray] | None:
-    """The first data line's number less one, the tokens and the vectors; ``None`` at any fault."""
-    head = list(islice(lines, 1))
-    header = None if force_headerless or not head else _parse_header(head[0].split())
-    start = 0 if header is None else 1
-    if header is None:
-        lines = chain(head, lines)
-    elif header[0] * (2 * header[1] + 1) > size:
-        return None  # a row takes at least 2 * dim + 1 bytes: the file cannot hold the header's rows
-    tokens: list[str] = []
-
-    def values(chunk: list[str]):
-        # A ValueError here, or from np.loadtxt, is a fault.
-        for line in chunk:
-            token, rest = line.split(None, 1)  # a line without values
-            tokens.append(token)
-            yield rest
-
-    vectors = None
-    n = 0
-    while chunk := list(islice(lines, _TEXT_LINES)):
-        if vectors is None:
-            dim = header[1] if header is not None else len(chunk[0].split()) - 1
-            if dim < 1:
-                return None
-            vectors = np.empty((0 if header is None else header[0], dim))
-        if n + len(chunk) > len(vectors):
-            if header is not None:
-                return None
-            vectors.resize((n + len(chunk), dim), refcheck=False)
-        try:
-            rows = np.loadtxt(values(chunk), dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            return None
-        if rows.shape != (len(chunk), dim):
-            return None
-        vectors[n : n + len(chunk)] = rows
-        n += len(chunk)
-        del chunk, rows  # before the next chunk is read
-    if vectors is None or n != len(vectors) or _token_fault(tokens):
-        return None
-    return start, tokens, vectors
-
-
-def _read_text_slowly(path: Path, force_headerless: bool) -> tuple[int, list[str], np.ndarray]:
-    """Raise for the first fault of a text file, holding all of its lines; the rows if none is found."""
-    lines = list(open_text(path, EmbeddingParseError))
-    if not lines:
-        raise EmbeddingParseError(f"{path}: empty file")
-    header = None if force_headerless else _parse_header(lines[0].split())
-    start = 0 if header is None else 1
-    data = lines[start:]
-    if not data:
+    if n == 0:
         raise EmbeddingParseError(f"{path}: no vector rows")
-    if header is not None and len(data) != header[0]:
-        raise EmbeddingParseError(f"{path}: header declares {header[0]} vectors, found {len(data)}")
-    dim = header[1] if header is not None else len(data[0].split()) - 1
-    if dim < 1:
-        raise EmbeddingParseError(f"{path}:{start + 1}: no vector values on first data line")
-    return start, *_scan_text(data, dim, lambda i: f"{path}:{start + i + 1}")
+    if header is not None and n != header[0]:
+        raise EmbeddingParseError(f"{path}: header declares {header[0]} vectors, found {n}")
+    if fault is not None:
+        raise fault
+    return _adopt(EmbeddingMatrix, list(row), vectors, row)
 
 
-def _scan_text(data: list[str], dim: int, where) -> tuple[list[str], np.ndarray]:
-    """Raise for the first bad line, in the order a line-by-line read meets the faults.
+def _scan_text(data: list[str], dim: int, where, seen: Container[str]) -> tuple[list[str], np.ndarray]:
+    """Raise for the first bad line of a chunk, in the order a line-by-line read meets the faults.
 
-    Runs only when the streamed parse or :func:`_token_fault` has failed.
+    Runs only when the chunk's parse has failed or a token in it repeats one
+    of its own or of ``seen``, the tokens of the chunks before it.
     ``str.split`` and ``np.loadtxt`` find the same fields, and
     ``_parse_value`` accepts the values ``np.loadtxt`` does, so some line is
-    bad; should none be, the rows read here are the file's rows.  It checks
+    bad; should none be, the rows read here are the chunk's rows.  It checks
     duplicates itself, to order them before a line's value faults.
     """
-    tokens: list[str] = []
-    rows: list[list[float]] = []
-    seen: set[str] = set()
+    tokens: dict[str, None] = {}
+    rows = np.empty((0, dim))
     for i, line in enumerate(data):
         fields = line.split()
         if len(fields) != dim + 1:
             error = f"expected {dim} values, found {len(fields) - 1}" if fields else "blank line"
-        elif fields[0] in seen:
+        elif fields[0] in seen or fields[0] in tokens:
             error = f"duplicate token {fields[0]!r}"
         else:
             try:
-                rows.append([_parse_value(v) for v in fields[1:]])
+                values = [_parse_value(v) for v in fields[1:]]
             except ValueError as exc:
                 error = str(exc)
             else:
-                seen.add(fields[0])
-                tokens.append(fields[0])
+                if not tokens:  # a line holds the dim values, so the chunk's rows fit in memory
+                    rows = np.empty((len(data), dim))
+                rows[len(tokens)] = values
+                tokens[fields[0]] = None
                 continue
-        _check_values(tokens, np.array(rows, dtype=np.float64).reshape(-1, dim), where, EmbeddingParseError)
+        _check_values(list(tokens), rows[: len(tokens)], where, EmbeddingParseError)
         raise EmbeddingParseError(f"{where(i)}: {error}")
-    return tokens, np.array(rows, dtype=np.float64)
+    return list(tokens), rows
 
 
 def _load_binary(path: Path) -> EmbeddingMatrix:

@@ -511,6 +511,63 @@ def test_text_load_holds_its_matrix_and_one_chunk_of_lines(tmp_path, fmt):
     assert peak - kept < allowance < path.stat().st_size / 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "text-noheader"])
+def test_a_fault_on_the_last_line_holds_one_chunk_of_lines(tmp_path, fmt):
+    # The faulty chunk alone is scanned for the bad line; the file is not read again.
+    n, dim = 20_000, 50
+    emb = EmbeddingMatrix([f"w{i}" for i in range(n)], np.random.default_rng(9).normal(size=(n, dim)))
+    path = tmp_path / "late.txt"
+    save_embeddings(emb, path, format=fmt)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: text.rindex(" ")] + " x\n", encoding="utf-8")
+    del text
+    tracemalloc.start()
+    try:
+        with pytest.raises(EmbeddingParseError) as caught:
+            load_embeddings(path, format=fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lineno = n + (fmt == "text")
+    assert str(caught.value) == f"{path}:{lineno}: could not convert string to float: 'x'"
+    # The allowance of test_text_load_holds_its_matrix_and_one_chunk_of_lines, past the matrix.
+    allowance = 8 * 2**20
+    assert peak - n * dim * 8 < allowance < path.stat().st_size / 2
+
+
+def _late_utf8_fault(path, lines: int, bad_row: int | None) -> int:
+    """Write a headered file of ``lines`` rows, with an ``x`` value on ``bad_row``; return the last line's number."""
+    rows = [f"w{i} {'x' if i == bad_row else 1} 2\n" for i in range(lines)]
+    path.write_text(f"{lines} 2\n" + "".join(rows), encoding="utf-8")
+    return lines + 1
+
+
+@pytest.mark.parametrize(
+    "chunk_lines, bad_row",
+    [(None, None), (1, 0)],
+    ids=["while-reading-a-chunk", "while-counting-after-a-row-fault"],
+)
+def test_a_file_changed_after_its_utf8_check_names_file_and_line(tmp_path, monkeypatch, chunk_lines, bad_row):
+    # The file turns invalid between open_text's check and its lines; the
+    # bad byte sits past the first 8 KiB the text reader decodes at once.
+    path = tmp_path / "changing.txt"
+    last = _late_utf8_fault(path, 3000, bad_row)
+    check = embeddings.open_text
+
+    def open_then_change(*args):
+        lines = check(*args)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-3] + b"\xff" + blob[-2:])
+        return lines
+
+    monkeypatch.setattr(embeddings, "open_text", open_then_change)
+    if chunk_lines is not None:
+        monkeypatch.setattr(embeddings, "_TEXT_LINES", chunk_lines)
+    with pytest.raises(EmbeddingParseError) as caught:
+        load_embeddings(path)
+    assert str(caught.value).startswith(f"{path}:{last}: not valid UTF-8")
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown embedding format"):
         load_embeddings(tmp_path / "x", format="protobuf")
