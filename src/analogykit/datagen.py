@@ -1,17 +1,18 @@
 """Balanced analogy dataset generation from relation triples.
 
-Pipeline: keep concepts having at least one frequent term; group surviving
-triples into per-relation (subject, object) pair sets; select relations
-whose 1:1 instance count clears the threshold, intersected with an
-allowlist when one is given (a sampled review report supports building
-that list by hand); per relation, sample distinct subjects and bundle
-every valid object of each sampled subject; combine the bundles
-exhaustively into ordered analogy records; render a parallel dataset with
-each concept replaced by its representative term.  Each relation's
-statistics are read off its rendered bundles, not counted over its records.
-Terms are checked where they enter: triple fields as they load, a lexicon
-term when it is chosen as a representative, and each relation's records
-once, in the first row :func:`.dataset.combine_pairs` builds.
+Pipeline: of the concepts the triples name, keep those having at least one
+frequent term; group surviving triples into per-relation (subject, object)
+pair sets; select relations whose 1:1 instance count clears the threshold,
+intersected with an allowlist when one is given (a sampled review report
+supports building that list by hand); per relation, sample distinct
+subjects and bundle every valid object of each sampled subject; combine the
+bundles exhaustively into ordered analogy records; render a parallel
+dataset with each concept replaced by its representative term.  Each
+relation's statistics are read off its rendered bundles, not counted over
+its records.  Terms are checked where they enter: triple fields as they
+load, a lexicon term when it is chosen as a representative, and each
+relation's records once, in the first row :func:`.dataset.combine_pairs`
+builds.
 
 ``generate`` pauses cyclic garbage collection while it runs.  It builds
 about ``n * (n - 1)`` records per relation, and each is a container that
@@ -279,7 +280,9 @@ def _generate(
     freqs: dict[str, int],
     config: GenerationConfig,
 ) -> GenerationResult:
-    surviving = frequent_concepts(lexicon, freqs, config.min_term_freq)
+    # Only the concepts the triples name are filtered: the lexicon may list many more.
+    named = {c: lexicon[c] for t in triples for c in (t.subject, t.object) if c in lexicon}
+    surviving = frequent_concepts(named, freqs, config.min_term_freq)
     relation_pairs: dict[str, list[tuple[str, str]]] = {}
     for t in triples:
         if t.subject in surviving and t.object in surviving:

@@ -10,7 +10,8 @@ Vector file formats:
 * ``binary``: word2vec-compatible binary.  Header line, then per token: the
   token bytes terminated by a single space, followed by ``dim`` little-endian
   float32 values.  A trailing newline per row is written on save and
-  tolerated on load.  Loaded vectors stay float32, as the file stores them;
+  tolerated on load.  The file is read in chunks, and each row's values are
+  copied into one float32 array; they stay float32, as the file stores them;
   text files and the :class:`EmbeddingMatrix` constructor give float64.
   Every computation upcasts to float64 first, which is exact, so scores do
   not depend on the stored dtype.
@@ -34,23 +35,22 @@ inexact (subnormal); at ``inf`` it overflows float64 (past about 1.8e308).
 from __future__ import annotations
 
 import logging
+import os
 import unicodedata
-from collections.abc import Container
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .textio import open_text
+from .textio import _CHUNK_BYTES, open_text
 
 logger = logging.getLogger(__name__)
 
 EMBEDDING_FORMATS = ("text", "text-noheader", "binary")
 _TINY = np.finfo(np.float64).tiny
-# Bytes of float64 rows gathered per step of the index build.
-_GATHER_BYTES = 2**20
-# Text lines parsed per np.loadtxt call.
+# Text lines parsed per np.loadtxt call, at most; a chunk also ends at _CHUNK_BYTES characters.
 _TEXT_LINES = 4096
 
 
@@ -251,10 +251,10 @@ def build_candidate_index(terms: list[str], emb: EmbeddingMatrix) -> CandidateIn
     n_duplicates = len(terms) - len(first)
     n_discarded = len(first) - len(keys)
 
-    # One float64 matrix, gathered a slice at a time: float32 rows widen exactly as they land.
+    # One float64 matrix, gathered a chunk at a time: float32 rows widen exactly as they land.
     heads = [rows[0] for rows in word_rows.values()]
     matrix = np.empty((len(heads), emb.dim))
-    step = max(1, _GATHER_BYTES // (8 * emb.dim))
+    step = max(1, _CHUNK_BYTES // (8 * emb.dim))
     for i in range(0, len(heads), step):
         matrix[i : i + step] = emb.vectors[heads[i : i + step]]
     # The mean of one row is 0.0 + row: -0.0 becomes 0.0, nothing else changes.
@@ -331,18 +331,18 @@ def _check_values(tokens: list[str], vectors: np.ndarray, where, error: type[Val
 
     ``where(i)`` is the location of row ``i``: its place in the file, or its row number.
     """
-    non_finite = ~np.isfinite(vectors).all(axis=1)
     # np.linalg.norm's sum of squares breaks the rule on the same rows, up to rounding at tiny and inf.
+    # A NaN or infinite value makes it NaN or inf, so the rows it flags include the non-finite ones.
     squares = np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)
-    bad = non_finite | _breaks_norm_rule(squares)
+    bad = _breaks_norm_rule(squares)
     if bad.any():
         i = int(bad.argmax())
-        problem = "non-finite value" if non_finite[i] else _norm_problem(squares[i])
+        problem = "non-finite value" if not np.isfinite(vectors[i]).all() else _norm_problem(squares[i])
         raise error(f"{where(i)}: {problem} for token {tokens[i]!r}")
 
 
 def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
-    """Stream the rows into one float64 matrix, ``_TEXT_LINES`` lines per ``np.loadtxt`` call.
+    """Stream the rows into one float64 matrix, one chunk of lines (:func:`_take_lines`) per ``np.loadtxt`` call.
 
     The matrix is sized from the header when the file can hold that many
     rows, and grown a chunk at a time otherwise, so the load holds one chunk
@@ -381,7 +381,7 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
                 names.append(token)
                 yield text
 
-        while chunk := list(islice(data, _TEXT_LINES)):
+        while chunk := _take_lines(data):
             names: list[str] = []
             try:
                 rows = np.loadtxt(values(chunk, names), dtype=np.float64, comments=None, ndmin=2)
@@ -411,6 +411,18 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
     if fault is not None:
         raise fault
     return _adopt(EmbeddingMatrix, list(row), vectors, row)
+
+
+def _take_lines(lines: Iterator[str]) -> list[str]:
+    """The next ``_TEXT_LINES`` lines, or fewer if they reach ``_CHUNK_BYTES`` characters first."""
+    chunk: list[str] = []
+    size = 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line)
+        if len(chunk) == _TEXT_LINES or size >= _CHUNK_BYTES:
+            break
+    return chunk
 
 
 def _scan_text(data: list[str], dim: int, where, seen: Container[str]) -> tuple[list[str], np.ndarray]:
@@ -448,66 +460,99 @@ def _scan_text(data: list[str], dim: int, where, seen: Container[str]) -> tuple[
 
 
 def _load_binary(path: Path) -> EmbeddingMatrix:
-    """Find each row's token and values, check all tokens at once, and view the values as float32.
+    """Read the file a chunk at a time, copying each row's values into one float32 matrix.
 
-    The names are decoded in one call and checked by :func:`_token_fault`.  A
-    fault stops the read, but the rows before it are checked first, so the
-    error names the first fault in file order, as a row-by-row read would.
+    The matrix is sized from the header only as far as the file can hold
+    rows, so the load holds the matrix, one chunk, and the tokens' bytes and
+    offsets.  Once the rows are read, the tokens are decoded in one call and
+    checked by :func:`_token_fault`.  A fault stops the read, but the rows
+    before it are checked first, so the error names the first fault in file
+    order, as a row-by-row read would.
     """
-    blob = path.read_bytes()
-    nl = blob.find(b"\n")
-    if nl < 0:
-        raise EmbeddingParseError(f"{path}: missing header line")
-    header = _parse_header(blob[:nl].decode("utf-8", errors="replace").split())
-    if header is None:
-        raise EmbeddingParseError(f"{path}: malformed header {blob[:nl]!r}")
-    count, dim = header
-    row_bytes = 4 * dim
-    pos = nl + 1
-    starts: list[int] = []
-    names: list[bytes] = []
-    offsets: list[int] = []
-    error = None
-    for i in range(count):
-        while pos < len(blob) and blob[pos] == 0x0A:
-            pos += 1
-        sp = blob.find(b" ", pos)
-        if sp < 0:
-            error = f"offset {pos}: unterminated token for vector {i}"
-            break
-        starts.append(pos)
-        names.append(blob[pos:sp])
-        pos = sp + 1
-        if pos + row_bytes > len(blob):
-            break  # a truncated row, named once its token is known
-        offsets.append(pos)
-        pos += row_bytes
-    else:
-        while pos < len(blob) and blob[pos] == 0x0A:
-            pos += 1
-        if pos != len(blob):
-            error = f"offset {pos}: trailing data after {count} vectors"
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        if not head.endswith(b"\n"):
+            raise EmbeddingParseError(f"{path}: missing header line")
+        header = _parse_header(head.decode("utf-8", errors="replace").split())
+        if header is None:
+            raise EmbeddingParseError(f"{path}: malformed header {head[:-1]!r}")
+        count, dim = header
+        row_bytes = 4 * dim
+        size = os.fstat(fh.fileno()).st_size
+        # A row takes at least a space and its values: size nothing the file cannot hold.
+        vectors = np.empty((min(count, (size - len(head)) // (row_bytes + 1)), dim), dtype="<f4")
+        names = bytearray()  # each token with the space that ends it
+        starts: list[int] = []  # each token's offset
+        n = 0  # rows whose values are in ``vectors``
+        error = None
+        buf, at, base = b"", 0, len(head)  # buf[at:] is the unread part of the chunk at offset base
 
-    joined = b" ".join(names)  # a name holds no space byte, nor does UTF-8 put one inside a character
+        def more() -> bool:
+            """Keep ``buf[at:]`` and append the next chunk; false at the end of the file."""
+            nonlocal buf, at, base
+            rest, base, buf = buf[at:], base + at, b""
+            chunk = fh.read(_CHUNK_BYTES)
+            buf, at = rest + chunk, 0
+            return bool(chunk)
+
+        def skip_newlines() -> None:
+            nonlocal at
+            while True:
+                while at < len(buf) and buf[at] == 0x0A:
+                    at += 1
+                if at < len(buf) or not more():
+                    return
+
+        with memoryview(vectors.view(np.uint8).reshape(-1)) as out:
+            for i in range(count):
+                skip_newlines()
+                start, scanned = base + at, 0
+                while (sp := buf.find(b" ", at + scanned)) < 0:
+                    scanned = len(buf) - at
+                    if not more():
+                        break
+                if sp < 0:
+                    error = f"offset {start}: unterminated token for vector {i}"
+                    break
+                starts.append(start)
+                names += buf[at : sp + 1]
+                at = sp + 1
+                if base + at + row_bytes > size:
+                    break  # a truncated row, named once its token is known
+                dst, end = n * row_bytes, (n + 1) * row_bytes
+                while dst < end and (at < len(buf) or more()):
+                    take = min(end - dst, len(buf) - at)
+                    out[dst : dst + take] = buf[at : at + take]
+                    dst, at = dst + take, at + take
+                if dst < end:
+                    break  # the file shrank while being read
+                n += 1
+            else:
+                skip_newlines()
+                if at < len(buf):
+                    error = f"offset {base + at}: trailing data after {count} vectors"
+
     try:
-        tokens = joined.decode("utf-8").split(" ") if names else []
+        tokens = names.decode("utf-8").split(" ")
     except UnicodeDecodeError as exc:
-        i = joined.count(b" ", 0, exc.start)
-        tokens = joined[: exc.start].decode("utf-8").split(" ")[:i]
+        i = names.count(b" ", 0, exc.start)
+        tokens = names[: exc.start].decode("utf-8").split(" ")[:i]
         fault = _token_fault(tokens) or (i, "undecodable token bytes")
     else:
+        del tokens[-1]  # the empty string after the last space
         fault = _token_fault(tokens)
     if fault is not None:
         i, message = fault
         error = f"offset {starts[i]}: {message}"
-        del tokens[i:], offsets[i:]
-    if len(offsets) < len(tokens):
-        error = f"offset {pos}: truncated vector for token {tokens[-1]!r}"
+        del tokens[i:]
+        n = min(n, i)
 
-    with memoryview(blob) as view:
-        packed = b"".join([view[o : o + row_bytes] for o in offsets])
-    vectors = np.frombuffer(packed, dtype="<f4").reshape(len(offsets), dim)
-    _check_values(tokens, vectors, lambda i: f"{path}: offset {offsets[i]}", EmbeddingParseError)
+    def values_at(i: int) -> int:
+        return starts[i] + len(tokens[i].encode("utf-8")) + 1
+
+    if n < len(tokens):
+        error = f"offset {values_at(n)}: truncated vector for token {tokens[n]!r}"
+    _check_values(tokens, vectors[:n], lambda i: f"{path}: offset {values_at(i)}", EmbeddingParseError)
     if error is not None:
         raise EmbeddingParseError(f"{path}: {error}")
     return _adopt(EmbeddingMatrix, tokens, vectors)

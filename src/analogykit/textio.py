@@ -2,7 +2,8 @@
 
 Every text input is read through :func:`open_text`.  It checks the whole
 file's UTF-8 first, a chunk at a time, then streams the file's lines, so a
-read holds one chunk of the file, never all of it.  Lines end at ``\\n``,
+read holds one chunk of the file, never all of it.  Naming the line of a bad
+byte reads the file again, also a chunk at a time.  Lines end at ``\\n``,
 ``\\r\\n`` or ``\\r``, as in a file opened in text mode; the other Unicode line
 boundaries (``\\x0b \\x0c \\x1c \\x1d \\x1e \\x85 \\u2028 \\u2029``) stay
 inside their line.
@@ -45,17 +46,35 @@ def _lines(path: str | Path, error: type[ValueError]) -> Generator[str, None, No
 
 
 def _raise_utf8_fault(path: str | Path, error: type[ValueError]) -> None:
-    """Read ``path`` whole and raise ``error`` naming the line of its first byte that is not UTF-8."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # Lines end at \n, \r\n or \r; the appended byte makes a break right
-        # before the bad byte count as the start of its line.
-        line = len((data[: exc.start] + b".").splitlines())
-        bad = data[exc.start : exc.end]
-        raise error(f"{path}:{line}: not valid UTF-8 ({exc.reason}: {bad!r} at byte {exc.start})") from None
-    raise error(f"{path}: changed while being read")
+    """Read ``path`` again, a chunk at a time, and raise ``error`` naming the line and byte of its first bad UTF-8.
+
+    The line is one past the line breaks before the bad byte, counted chunk
+    by chunk; a ``\\r`` that ends one chunk and a ``\\n`` that starts the next
+    are one break.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    breaks = offset = 0
+    after_cr = False
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(_CHUNK_BYTES)
+            held = decoder.getstate()[0]  # the first bytes of a character the last chunk cut
+            fault, end = None, len(chunk)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                fault, start = exc, offset - len(held) + exc.start
+                # Held bytes are not ASCII, so every break before the fault lies in this chunk.
+                end = max(0, start - offset)
+            breaks += chunk.count(b"\n", 0, end) + chunk.count(b"\r", 0, end) - chunk.count(b"\r\n", 0, end)
+            breaks -= after_cr and chunk.startswith(b"\n")
+            if fault is not None:
+                bad = fault.object[fault.start : fault.end]
+                raise error(f"{path}:{breaks + 1}: not valid UTF-8 ({fault.reason}: {bad!r} at byte {start})")
+            if not chunk:
+                raise error(f"{path}: changed while being read")
+            after_cr = chunk.endswith(b"\r")
+            offset += len(chunk)
 
 
 def read_tsv(path: str | Path, error: type[ValueError]) -> Iterator[tuple[int, list[str]]]:

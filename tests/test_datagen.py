@@ -408,6 +408,28 @@ def test_generate_is_deterministic():
     assert first.id_records == second.id_records
 
 
+def test_generate_filters_only_the_concepts_its_triples_name(monkeypatch):
+    triples, lexicon, freqs = synthetic_inputs(2, 8)
+    triples.append(Triple(subject="S0x0", relation="R00", object="unlisted"))
+    config = GenerationConfig(min_one_to_one=7, pairs_per_relation=8, rng_seed=5)
+    plain = generate(triples, lexicon, freqs, config)
+    # Concepts no triple names, frequent or not, sharing terms with named ones or not.
+    padded = dict(lexicon)
+    for i in range(500):
+        padded[f"U{i}"] = [f"unused {i}", "subj 0 0"] if i % 2 else [f"rare {i}"]
+        freqs[f"unused {i}"] = 100
+    filtered = []
+
+    def spy(lexicon, freqs, min_freq):
+        filtered.append(set(lexicon))
+        return frequent_concepts(lexicon, freqs, min_freq)
+
+    monkeypatch.setattr(datagen, "frequent_concepts", spy)
+    assert generate(triples, padded, freqs, config) == plain
+    named = {c for t in triples for c in (t.subject, t.object)}
+    assert filtered == [named - {"unlisted"}]
+
+
 # --------------------------------------------------------- garbage collection
 
 

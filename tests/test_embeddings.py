@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 import tracemalloc
 import unicodedata
@@ -337,6 +338,26 @@ def test_truncated_binary_names_offset(small_matrix, tmp_path):
         load_embeddings(path, format="binary")
 
 
+def test_a_binary_file_that_shrinks_while_read_names_the_cut_row(small_matrix, tmp_path, monkeypatch):
+    # The rows are sized and checked against the size the file had when opened.
+    path = tmp_path / "shrunk.bin"
+    save_embeddings(small_matrix, path, format="binary")
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-10])
+    with pytest.raises(EmbeddingParseError) as cut:
+        load_embeddings(path, format="binary")
+    stat = os.fstat
+
+    def as_opened(fd):
+        return os.stat_result((*stat(fd)[:6], len(blob), *stat(fd)[7:]))
+
+    monkeypatch.setattr(embeddings.os, "fstat", as_opened)
+    with pytest.raises(EmbeddingParseError) as shrunk:
+        load_embeddings(path, format="binary")
+    assert str(shrunk.value) == str(cut.value)
+    assert "truncated vector" in str(cut.value)
+
+
 def test_binary_trailing_bytes_rejected(small_matrix, tmp_path):
     path = tmp_path / "extra.bin"
     save_embeddings(small_matrix, path, format="binary")
@@ -509,6 +530,74 @@ def test_text_load_holds_its_matrix_and_one_chunk_of_lines(tmp_path, fmt):
     # lines and its parsed rows: about 5 MB here.  The file's bytes, or all of its lines, are 19 MB.
     allowance = 8 * 2**20
     assert peak - kept < allowance < path.stat().st_size / 2
+
+
+def test_text_chunks_end_at_a_chunk_of_text_before_their_line_count(tmp_path):
+    # 4 096 of these 2.3 kB lines would be 9 MiB, past the allowance below; a chunk ends at 1 MiB of text.
+    n, dim = 6_000, 120
+    emb = EmbeddingMatrix([f"w{i}" for i in range(n)], np.random.default_rng(9).normal(size=(n, dim)))
+    path = tmp_path / "wide.txt"
+    save_embeddings(emb, path, format="text")
+    tracemalloc.start()
+    try:
+        loaded = load_embeddings(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.vectors, emb.vectors)
+    # The allowance of test_text_load_holds_its_matrix_and_one_chunk_of_lines.
+    allowance = 8 * 2**20
+    assert peak - kept < allowance < path.stat().st_size * embeddings._TEXT_LINES / n
+
+
+def test_binary_load_holds_its_matrix_and_one_chunk(tmp_path):
+    n, dim = 20_000, 100
+    emb = EmbeddingMatrix([f"w{i}" for i in range(n)], np.random.default_rng(9).normal(size=(n, dim)))
+    path = tmp_path / "big.bin"
+    save_embeddings(emb, path, format="binary")
+    tracemalloc.start()
+    try:
+        loaded = load_embeddings(path, format="binary")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.vectors, emb.vectors.astype("<f4"))
+    # Past what the matrix keeps, the load holds a chunk (and the next one as it is read) and,
+    # per token, its bytes, offset and decoded text: about 2.5 MiB here.  The file is 7.8 MiB.
+    allowance = 2 * 2**20 + 64 * n
+    assert peak - kept < allowance < path.stat().st_size / 2
+
+
+def test_checking_rows_takes_one_square_per_row():
+    # The check after a binary load runs over the whole matrix; it copies no value.
+    n, dim = 20_000, 100
+    vectors = np.random.default_rng(9).normal(size=(n, dim)).astype("<f4")
+    tokens = [f"w{i}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        embeddings._check_values(tokens, vectors, str, EmbeddingParseError)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A float64 square per row is 160 kB here; a mask over every value would be 2 MB.
+    assert peak < 2**20 < n * dim
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"1000000000000 2\n", "offset 27: unterminated token for vector 1"),
+        (b"2 1000000000000\n", "offset 18: truncated vector for token 'a'"),
+    ],
+    ids=["count", "dim"],
+)
+def test_a_binary_header_larger_than_its_file_is_a_parse_error(tmp_path, header, message):
+    # The loader sizes its matrix from the header only as far as the file can hold rows.
+    path = tmp_path / "big.bin"
+    path.write_bytes(header + b"a " + np.array([1, 2], dtype="<f4").tobytes() + b"\n")
+    with pytest.raises(EmbeddingParseError) as caught:
+        load_embeddings(path, format="binary")
+    assert str(caught.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("fmt", ["text", "text-noheader"])

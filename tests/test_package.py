@@ -120,3 +120,18 @@ def test_no_source_module_imports_a_name_it_never_uses():
                 used.update(ast.literal_eval(node.value))
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_no_source_module_reads_a_whole_input_file():
+    # Inputs are read a chunk (textio._CHUNK_BYTES) or a line at a time, so a
+    # load holds what it keeps plus one chunk; a whole-file read holds the file.
+    root = Path(__file__).resolve().parent.parent / "src"
+    whole = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            name = node.func.attr
+            if name in ("read_bytes", "read_text", "readlines") or (name == "read" and not node.args):
+                whole.append(f"{path.name}:{node.lineno}: {name}")
+    assert whole == []

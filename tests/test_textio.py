@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from analogykit import textio
 from analogykit.datagen import GenerationError
 from analogykit.textio import open_text, read_tsv
 
@@ -65,3 +69,84 @@ def test_the_check_reads_chunks_across_a_split_character_and_names_a_late_line(t
     path.write_bytes(f"{first}y\n".encode() + b"\xfez\n")
     with pytest.raises(ValueError, match=r"big\.txt:3: not valid UTF-8 \(invalid start byte: b'\\xfe' at byte"):
         open_text(path)
+
+
+def whole_file_fault(path, data: bytes) -> str:
+    """The message for the first bad UTF-8 of ``data``, found by decoding it whole: the reference."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines end at \n, \r\n or \r; the appended byte makes a break right
+        # before the bad byte count as the start of its line.
+        line = len((data[: exc.start] + b".").splitlines())
+        bad = data[exc.start : exc.end]
+        return f"{path}:{line}: not valid UTF-8 ({exc.reason}: {bad!r} at byte {exc.start})"
+    raise AssertionError("the data is valid UTF-8")
+
+
+def assert_names_the_fault(path, data: bytes) -> None:
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as caught:
+        open_text(path)
+    assert str(caught.value) == whole_file_fault(path, data)
+
+
+CHUNK = 2**20
+FILLER = b"ab\ncd\r\ne\rf"  # 12 bytes, one line break of each kind
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        FILLER * (CHUNK // 12) + b"x" * (CHUNK % 12 - 1) + b"\r\nz\xff\n",
+        b"x" * (CHUNK - 1) + b"\r\n\xff",
+        b"x\n" * (CHUNK // 2 - 1) + b"y" + "€".encode() + b"\n\x80\n",
+        b"x\n" * (CHUNK // 2 - 1) + b"\xe2\x82" + b"A\n",
+        FILLER * (CHUNK // 12) + b"\n" * (CHUNK % 12) + b"\n\r\xf0\x9f\x98",
+        (FILLER * (CHUNK // 12 + 1)) * 3 + b"\r\r\n\xfe\n",
+    ],
+    ids=[
+        "crlf-split-then-a-bad-byte",
+        "crlf-split-right-before-a-bad-byte",
+        "character-split-then-a-bad-byte",
+        "bad-sequence-begun-before-the-boundary",
+        "cut-character-at-the-end",
+        "bad-byte-three-chunks-in",
+    ],
+)
+def test_a_utf8_fault_across_chunk_boundaries_names_its_line_and_byte(tmp_path, data):
+    # The line breaks before the fault are counted a 1 MiB chunk at a time.
+    assert textio._CHUNK_BYTES == CHUNK
+    assert_names_the_fault(tmp_path / "split.txt", data)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    pieces=st.lists(
+        st.sampled_from([b"a", b"\n", b"\r", b"\r\n", "é".encode(), "€".encode(), "😀".encode(), b"\xff", b"\x80",
+                         b"\xc3", b"\xe2\x82", b"\xf0\x9f", b"\xed\xa0\x80"]),
+        max_size=16,
+    ),
+    chunk=st.integers(1, 5),
+)
+def test_a_utf8_fault_in_small_chunks_names_what_a_whole_file_read_names(tmp_path, pieces, chunk):
+    data = b"".join(pieces) + b"\xff"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textio, "_CHUNK_BYTES", chunk)
+        assert_names_the_fault(tmp_path / "small.txt", data)
+
+
+def test_naming_a_utf8_fault_holds_one_chunk(tmp_path):
+    path = tmp_path / "late.txt"
+    data = FILLER * CHUNK + b"\xff\n"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as caught:
+            open_text(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == whole_file_fault(path, data)
+    # A few chunks at most (one read while the last is held, the decoded text of one); the file is 12 MiB.
+    assert peak < 4 * CHUNK < len(data) / 2
