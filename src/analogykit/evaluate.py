@@ -59,6 +59,9 @@ from .scoring import DEFAULT_EPSILON, METHODS, combine_rows, query_directions, r
 # streamed text loads and a gathered index, 12, 16 and 24 MiB raised the
 # peak RSS of 8 MiB (181 MB on the eval workloads, 213 MB on load-text) by up
 # to 16, 23 and 19 MB over all workloads, seeds 1 and 3 (table in CHANGES.md).
+# Now that every input read holds one 1 MiB chunk, load-text peaks at 206 MB
+# with 8 MiB (216 MB before): 10 MB of headroom for a wider block.  The eval
+# workloads' 181 MB is set by the index build and did not move.
 _BLOCK_BYTES = 8 * 2**20
 
 
