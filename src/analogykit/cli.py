@@ -41,7 +41,8 @@ logger = logging.getLogger(__name__)
 
 def _read_candidate_terms(path: str) -> list[str]:
     """One candidate term per line (terms may contain spaces); blank lines skipped."""
-    terms = [line.strip() for line in open_text(path) if line.strip()]
+    with open_text(path) as lines:
+        terms = [line.strip() for line in lines if line.strip()]
     if not terms:
         raise ValueError(f"{path}: no candidate terms")
     return terms

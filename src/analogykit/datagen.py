@@ -113,17 +113,18 @@ class GenerationResult:
 def load_triples(path: str | Path) -> list[Triple]:
     path = Path(path)
     triples: list[Triple] = []
-    for lineno, fields in read_tsv(path, GenerationError):
-        if len(fields) != 3 or not all(fields):
-            raise GenerationError(f"{path}:{lineno}: expected 3 non-empty tab-separated fields")
-        subject, relation, obj = fields
-        try:
-            _check_term("subject", subject)
-            _check_relation_id("relation id", relation)
-            _check_term("object", obj)
-        except ValueError as exc:
-            raise GenerationError(f"{path}:{lineno}: {exc}") from exc
-        triples.append(Triple(subject=subject, relation=relation, object=obj))
+    with read_tsv(path, GenerationError) as rows:
+        for lineno, fields in rows:
+            if len(fields) != 3 or not all(fields):
+                raise GenerationError(f"{path}:{lineno}: expected 3 non-empty tab-separated fields")
+            subject, relation, obj = fields
+            try:
+                _check_term("subject", subject)
+                _check_relation_id("relation id", relation)
+                _check_term("object", obj)
+            except ValueError as exc:
+                raise GenerationError(f"{path}:{lineno}: {exc}") from exc
+            triples.append(Triple(subject=subject, relation=relation, object=obj))
     if not triples:
         raise GenerationError(f"{path}: no triples")
     return triples
@@ -133,13 +134,14 @@ def load_lexicon(path: str | Path) -> dict[str, list[str]]:
     """Concept id to ordered term list; repeated (concept, term) lines collapse."""
     path = Path(path)
     lexicon: dict[str, list[str]] = {}
-    for lineno, fields in read_tsv(path, GenerationError):
-        if len(fields) != 2 or not all(fields):
-            raise GenerationError(f"{path}:{lineno}: expected 2 non-empty tab-separated fields")
-        concept, term = fields
-        terms = lexicon.setdefault(concept, [])
-        if term not in terms:
-            terms.append(term)
+    with read_tsv(path, GenerationError) as rows:
+        for lineno, fields in rows:
+            if len(fields) != 2 or not all(fields):
+                raise GenerationError(f"{path}:{lineno}: expected 2 non-empty tab-separated fields")
+            concept, term = fields
+            terms = lexicon.setdefault(concept, [])
+            if term not in terms:
+                terms.append(term)
     if not lexicon:
         raise GenerationError(f"{path}: no lexicon entries")
     return lexicon
@@ -148,25 +150,27 @@ def load_lexicon(path: str | Path) -> dict[str, list[str]]:
 def load_frequencies(path: str | Path) -> dict[str, int]:
     path = Path(path)
     freqs: dict[str, int] = {}
-    for lineno, fields in read_tsv(path, GenerationError):
-        if len(fields) != 2 or not fields[0]:
-            raise GenerationError(f"{path}:{lineno}: expected 2 tab-separated fields")
-        term, count_str = fields
-        if term in freqs:
-            raise GenerationError(f"{path}:{lineno}: duplicate term {term!r}")
-        try:
-            count = int(count_str)
-        except ValueError as exc:
-            raise GenerationError(f"{path}:{lineno}: count {count_str!r} is not an integer") from exc
-        if count < 0:
-            raise GenerationError(f"{path}:{lineno}: negative count for {term!r}")
-        freqs[term] = count
+    with read_tsv(path, GenerationError) as rows:
+        for lineno, fields in rows:
+            if len(fields) != 2 or not fields[0]:
+                raise GenerationError(f"{path}:{lineno}: expected 2 tab-separated fields")
+            term, count_str = fields
+            if term in freqs:
+                raise GenerationError(f"{path}:{lineno}: duplicate term {term!r}")
+            try:
+                count = int(count_str)
+            except ValueError as exc:
+                raise GenerationError(f"{path}:{lineno}: count {count_str!r} is not an integer") from exc
+            if count < 0:
+                raise GenerationError(f"{path}:{lineno}: negative count for {term!r}")
+            freqs[term] = count
     return freqs
 
 
 def load_allowlist(path: str | Path) -> frozenset[str]:
     path = Path(path)
-    return frozenset(line.strip() for line in open_text(path, GenerationError) if line.strip())
+    with open_text(path, GenerationError) as lines:
+        return frozenset(line.strip() for line in lines if line.strip())
 
 
 def frequent_concepts(

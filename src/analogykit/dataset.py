@@ -93,25 +93,24 @@ class AnalogyRecord:
 def load_dataset(path: str | Path) -> list[AnalogyRecord]:
     path = Path(path)
     records: list[AnalogyRecord] = []
-    for lineno, fields in read_tsv(path, AnalogyFormatError):
-        if fields[0].startswith("#"):
-            continue
-        if len(fields) != 5:
-            raise AnalogyFormatError(
-                f"{path}:{lineno}: expected 5 tab-separated fields, found {len(fields)}"
-            )
-        relation_id, a, b_field, c, d_field = fields
-        try:
-            record = AnalogyRecord(
-                relation_id=relation_id,
-                a=a,
-                b_list=tuple(b_field.split("|")),
-                c=c,
-                d_list=tuple(d_field.split("|")),
-            )
-        except ValueError as exc:
-            raise AnalogyFormatError(f"{path}:{lineno}: {exc}") from exc
-        records.append(record)
+    with read_tsv(path, AnalogyFormatError) as rows:
+        for lineno, fields in rows:
+            if fields[0].startswith("#"):
+                continue
+            if len(fields) != 5:
+                raise AnalogyFormatError(f"{path}:{lineno}: expected 5 tab-separated fields, found {len(fields)}")
+            relation_id, a, b_field, c, d_field = fields
+            try:
+                record = AnalogyRecord(
+                    relation_id=relation_id,
+                    a=a,
+                    b_list=tuple(b_field.split("|")),
+                    c=c,
+                    d_list=tuple(d_field.split("|")),
+                )
+            except ValueError as exc:
+                raise AnalogyFormatError(f"{path}:{lineno}: {exc}") from exc
+            records.append(record)
     if not records:
         raise AnalogyFormatError(f"{path}: no analogy records")
     return records

@@ -39,7 +39,7 @@ import os
 import unicodedata
 from collections.abc import Container, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,7 @@ logger = logging.getLogger(__name__)
 
 EMBEDDING_FORMATS = ("text", "text-noheader", "binary")
 _TINY = np.finfo(np.float64).tiny
-# Text lines parsed per np.loadtxt call, at most; a chunk also ends at _CHUNK_BYTES characters.
+# Text lines per np.loadtxt call, at most (a chunk also ends at _CHUNK_BYTES characters), and terms per key call.
 _TEXT_LINES = 4096
 
 
@@ -151,6 +151,25 @@ def term_key(term: str) -> str:
     return " ".join(normalize_term(term))
 
 
+def _term_keys(terms: list[str]) -> list[str]:
+    """:func:`term_key` of every term, lowercased and stripped a slice of terms joined by ``\\n`` at a time.
+
+    ``\\n`` is neither cased nor case-ignorable, so it bounds a final sigma as
+    the end of a term does.  A slice with a term holding ``\\n`` is keyed term by term.
+    """
+    keys: list[str] = []
+    for i in range(0, len(terms), _TEXT_LINES):
+        part = terms[i : i + _TEXT_LINES]
+        pieces = "\n".join(part).lower().translate(_STRIP).split("\n")
+        keys += [" ".join(p.split()) for p in pieces] if len(pieces) == len(part) else map(term_key, part)
+    return keys
+
+
+def _first_index(keys: list[str]) -> dict[str, int]:
+    """Each key's first position: filled last position first, so the first of equal keys wins."""
+    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+
+
 @dataclass(frozen=True)
 class ComposedTerm:
     """A term's vector built by averaging its in-vocabulary component words.
@@ -195,12 +214,12 @@ class CandidateIndex:
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         if not (np.abs(norms - 1.0) <= 1e-6).all():  # a NaN norm fails too
             raise ValueError("candidate vectors must be unit-normalized")
-        self._init(surfaces, matrix, 0, 0, [term_key(surface) for surface in surfaces])
+        self._init(surfaces, matrix, 0, 0, _first_index(_term_keys(surfaces)))
 
     def _init(
-        self, surfaces: list[str], matrix: np.ndarray, n_discarded: int, n_duplicates: int, keys: list[str]
+        self, surfaces: list[str], matrix: np.ndarray, n_discarded: int, n_duplicates: int, key_to_index: dict
     ) -> None:
-        """Store unit rows, one per surface, that the constructor or the build has checked."""
+        """Store unit rows, one per surface, and :func:`_first_index` of their keys, checked by the caller."""
         # A line break would not survive the outcomes CSV as a top guess.
         joined = "".join(surfaces)
         if "\n" in joined or "\r" in joined:
@@ -211,8 +230,7 @@ class CandidateIndex:
         self.matrix: np.ndarray = matrix
         self.n_discarded: int = n_discarded
         self.n_duplicates: int = n_duplicates
-        # Filled last index first, so the first of equal keys wins.
-        self._key_to_index: dict[str, int] = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        self._key_to_index: dict[str, int] = key_to_index
 
     @property
     def dim(self) -> int:
@@ -240,45 +258,62 @@ def build_candidate_index(terms: list[str], emb: EmbeddingMatrix) -> CandidateIn
     preserve input order and are L2-normalized.  Each row equals
     :func:`compose_term`'s vector divided by its ``np.linalg.norm``, bit for
     bit; only terms with several in-vocabulary words are averaged.
-    """
-    first: dict[str, str] = {}
-    for term in terms:
-        first.setdefault(term_key(term), term)
-    row_of = emb._row
-    word_rows = {key: rows for key in first if (rows := [row_of[w] for w in key.split() if w in row_of])}
-    keys = list(word_rows)
-    surfaces = [first[key] for key in keys]
-    n_duplicates = len(terms) - len(first)
-    n_discarded = len(first) - len(keys)
 
-    # One float64 matrix, gathered a chunk at a time: float32 rows widen exactly as they land.
-    heads = [rows[0] for rows in word_rows.values()]
-    matrix = np.empty((len(heads), emb.dim))
+    It works in bulk passes.  A token holds no whitespace, so only the key
+    of several words or of an out-of-vocabulary one misses its row's lookup.
+    """
+    keys = _term_keys(terms)
+    key_to_index = _first_index(keys)
+    n_duplicates = len(keys) - len(key_to_index)
+    row_of = emb._row
+    heads = np.fromiter(map(row_of.get, keys, repeat(-1)), np.intp, len(keys))  # each key's first word row
+    missed = heads < 0
+    for i in np.flatnonzero(missed).tolist():
+        heads[i] = next((row_of[w] for w in keys[i].split() if w in row_of), -1)
+    kept = np.zeros(len(keys), dtype=bool)  # each key's first term, if it has a row
+    kept[np.fromiter(key_to_index.values(), np.intp, len(key_to_index))] = True
+    unfound = kept & (heads < 0)
+    n_discarded = int(np.count_nonzero(unfound))
+    for key in compress(keys, unfound):
+        del key_to_index[key]
+    kept[unfound] = False
+    surfaces, keys, heads = list(compress(terms, kept)), list(compress(keys, kept)), heads[kept]
+    split = np.flatnonzero(missed[kept])  # the terms that may average several rows
+
+    # One float64 matrix, a slice of rows at a time while it is in cache.
+    matrix = np.empty((len(keys), emb.dim))
+    squares = np.empty(len(keys))
     step = max(1, _CHUNK_BYTES // (8 * emb.dim))
-    for i in range(0, len(heads), step):
-        matrix[i : i + step] = emb.vectors[heads[i : i + step]]
-    # The mean of one row is 0.0 + row: -0.0 becomes 0.0, nothing else changes.
-    matrix += 0.0
-    for i, rows in enumerate(word_rows.values()):
-        if len(rows) > 1:
-            matrix[i] = emb.vectors[rows].astype(np.float64, copy=False).mean(axis=0)
-    # sqrt(v.dot(v)) is how np.linalg.norm computes a vector's norm; the
-    # stacked product gives each row's v.dot(v), bit for bit.
-    squares = (matrix[:, None, :] @ matrix[:, :, None]).ravel()
+    for i in range(0, len(keys), step):
+        part = matrix[i : i + step]
+        if emb.vectors.dtype == part.dtype:  # no temporary, whose heap might not be given back
+            np.take(emb.vectors, heads[i : i + step], axis=0, out=part)
+        else:  # float32 rows widen exactly
+            part[...] = emb.vectors[heads[i : i + step]]
+        # The mean of one row is 0.0 + row: -0.0 becomes 0.0, nothing else changes.
+        part += 0.0
+        for j in split[np.searchsorted(split, i) : np.searchsorted(split, i + step)].tolist():
+            if len(rows := [row_of[w] for w in keys[j].split() if w in row_of]) > 1:
+                matrix[j] = emb.vectors[rows].astype(np.float64, copy=False).mean(axis=0)
+        # sqrt(v.dot(v)) is how np.linalg.norm computes a vector's norm; the
+        # stacked product gives each row's v.dot(v), bit for bit.
+        squares[i : i + step] = (part[:, None, :] @ part[:, :, None]).ravel()
+        with np.errstate(divide="ignore", invalid="ignore"):  # on rows that break the norm rule, dropped below
+            part /= np.sqrt(squares[i : i + step])[:, None]
     bad = _breaks_norm_rule(squares)
     if bad.any():
         # Such a vector has no exact unit direction, so the term cannot be ranked.
         for i in np.flatnonzero(bad):
             problem = "vector is zero" if squares[i] == 0.0 else _norm_problem(squares[i])
             logger.warning("discarding %r: composed %s", surfaces[i], problem)
+            del key_to_index[keys[i]]
         n_discarded += int(bad.sum())
-        surfaces = [s for s, b in zip(surfaces, bad) if not b]
-        keys = [k for k, b in zip(keys, bad) if not b]
-        matrix, squares = matrix[~bad], squares[~bad]
+        surfaces, keys, matrix = list(compress(surfaces, ~bad)), list(compress(keys, ~bad)), matrix[~bad]
     if not surfaces:
         raise ValueError("candidate index is empty: no term had an in-vocabulary word")
-    matrix /= np.sqrt(squares)[:, None]
-    return _adopt(CandidateIndex, surfaces, matrix, n_discarded, n_duplicates, keys)
+    if n_duplicates or n_discarded:  # every kept key is in place: give it its new position
+        key_to_index.update(zip(keys, range(len(keys))))
+    return _adopt(CandidateIndex, surfaces, matrix, n_discarded, n_duplicates, key_to_index)
 
 
 def load_embeddings(path: str | Path, format: str = "text") -> EmbeddingMatrix:
@@ -295,7 +330,7 @@ def load_embeddings(path: str | Path, format: str = "text") -> EmbeddingMatrix:
     return _load_text(Path(path), force_headerless=(format == "text-noheader"))
 
 
-def _parse_header(fields: list[str]) -> tuple[int, int] | None:
+def _parse_header(fields: list[str], path: Path, itemsize: int) -> tuple[int, int] | None:
     if len(fields) != 2:
         return None
     try:
@@ -304,6 +339,8 @@ def _parse_header(fields: list[str]) -> tuple[int, int] | None:
         return None
     if count < 1 or dim < 1:
         return None
+    if dim * itemsize > np.iinfo(np.intp).max:  # numpy cannot shape a row of dim values of itemsize bytes
+        raise EmbeddingParseError(f"{path}: header declares {dim} values per vector, more than an array can hold")
     return count, dim
 
 
@@ -353,12 +390,11 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
     line.  The rest of the file is then counted, so that a header count the
     rows do not match is named first.
     """
-    lines = open_text(path, EmbeddingParseError)
-    try:
+    with open_text(path, EmbeddingParseError) as lines:
         head = next(lines, None)
         if head is None:
             raise EmbeddingParseError(f"{path}: empty file")
-        header = None if force_headerless else _parse_header(head.split())
+        header = None if force_headerless else _parse_header(head.split(), path, 8)
         if header is None:
             start, dim, data = 0, len(head.split()) - 1, chain([head], lines)
             if dim < 1:
@@ -402,8 +438,6 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
             vectors[n : n + len(chunk)] = rows
             n += len(chunk)
             del chunk, rows, names  # before the next chunk is read
-    finally:
-        lines.close()
     if n == 0:
         raise EmbeddingParseError(f"{path}: no vector rows")
     if header is not None and n != header[0]:
@@ -464,7 +498,9 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
 
     The matrix is sized from the header only as far as the file can hold
     rows, so the load holds the matrix, one chunk, and the tokens' bytes and
-    offsets.  Once the rows are read, the tokens are decoded in one call and
+    offsets.  A row inside the chunk, as most are, costs one ``find``, one
+    slice of its token and one copy of its values; only a chunk's end reads
+    on.  Once the rows are read, the tokens are decoded in one call and
     checked by :func:`_token_fault`.  A fault stops the read, but the rows
     before it are checked first, so the error names the first fault in file
     order, as a row-by-row read would.
@@ -473,7 +509,7 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
         head = fh.readline()
         if not head.endswith(b"\n"):
             raise EmbeddingParseError(f"{path}: missing header line")
-        header = _parse_header(head.decode("utf-8", errors="replace").split())
+        header = _parse_header(head.decode("utf-8", errors="replace").split(), path, 4)
         if header is None:
             raise EmbeddingParseError(f"{path}: malformed header {head[:-1]!r}")
         count, dim = header
@@ -505,7 +541,8 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
 
         with memoryview(vectors.view(np.uint8).reshape(-1)) as out:
             for i in range(count):
-                skip_newlines()
+                if at >= len(buf) or buf[at] == 0x0A:  # a chunk's end, or newlines the last row left
+                    skip_newlines()
                 start, scanned = base + at, 0
                 while (sp := buf.find(b" ", at + scanned)) < 0:
                     scanned = len(buf) - at
@@ -520,6 +557,9 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
                 if base + at + row_bytes > size:
                     break  # a truncated row, named once its token is known
                 dst, end = n * row_bytes, (n + 1) * row_bytes
+                if at + row_bytes < len(buf):  # the common row: its values and the next byte are in the chunk
+                    out[dst:end] = buf[at : at + row_bytes]
+                    dst, at = end, at + row_bytes + (buf[at + row_bytes] == 0x0A)  # and its newline
                 while dst < end and (at < len(buf) or more()):
                     take = min(end - dst, len(buf) - at)
                     out[dst : dst + take] = buf[at : at + take]

@@ -53,15 +53,11 @@ from .metrics import (
 from .scoring import DEFAULT_EPSILON, METHODS, combine_rows, query_directions, rank_answers
 
 # Bytes of one block's product S = D @ M.T, 20 directions on a 50 000-row
-# index.  Over both passes of the benchmark's eval-allinfo workload (2 cores,
-# 2 OpenBLAS threads), 4, 8 and 16 MiB took 0.47-0.93, 0.33 and 0.27 s and
-# raised peak RSS by 5.9, 9.4 and 17.0 MB: speed bought with memory.  With
-# streamed text loads and a gathered index, 12, 16 and 24 MiB raised the
-# peak RSS of 8 MiB (181 MB on the eval workloads, 213 MB on load-text) by up
-# to 16, 23 and 19 MB over all workloads, seeds 1 and 3 (table in CHANGES.md).
-# Now that every input read holds one 1 MiB chunk, load-text peaks at 206 MB
-# with 8 MiB (216 MB before): 10 MB of headroom for a wider block.  The eval
-# workloads' 181 MB is set by the index build and did not move.
+# index.  Wider blocks buy speed with memory: over both passes of the
+# benchmark's eval-allinfo workload (2 cores, 2 OpenBLAS threads), 4, 8 and
+# 16 MiB took 0.47-0.93, 0.33 and 0.27 s and raised peak RSS by 5.9, 9.4 and
+# 17.0 MB (12-24 MiB: table in CHANGES.md).  At 8 MiB load-text peaks at
+# 206 MB and the eval workloads at 174 MB, which leaves headroom.
 _BLOCK_BYTES = 8 * 2**20
 
 

@@ -128,26 +128,27 @@ def load_outcomes_csv(path: str | Path) -> tuple[list[QueryOutcome], list[Skippe
     """
     outcomes: list[QueryOutcome] = []
     skipped: list[SkippedQuery] = []
-    reader = csv.reader(open_text(path))
-    limit = csv.field_size_limit(max(csv.field_size_limit(), Path(path).stat().st_size))
-    try:
-        header = next(reader, None)
-        if header == _OUTCOME_HEADER:
-            for row in reader:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields")
-                cells = dict(zip(header, row))
-                if cells["status"] == "scored":
-                    values = {name: read(cells[name]) for name, _, read in _SCORED_COLUMNS}
-                    outcomes.append(QueryOutcome(**values))
-                elif cells["status"] == "skipped":
-                    skipped.append(SkippedQuery(**{f.name: cells[f.name] for f in fields(SkippedQuery)}))
-                else:
-                    raise ValueError(f"unknown status {cells['status']!r}")
-    except (csv.Error, ValueError) as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    finally:
-        csv.field_size_limit(limit)
+    with open_text(path) as lines:
+        reader = csv.reader(lines)
+        limit = csv.field_size_limit(max(csv.field_size_limit(), Path(path).stat().st_size))
+        try:
+            header = next(reader, None)
+            if header == _OUTCOME_HEADER:
+                for row in reader:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields")
+                    cells = dict(zip(header, row))
+                    if cells["status"] == "scored":
+                        values = {name: read(cells[name]) for name, _, read in _SCORED_COLUMNS}
+                        outcomes.append(QueryOutcome(**values))
+                    elif cells["status"] == "skipped":
+                        skipped.append(SkippedQuery(**{f.name: cells[f.name] for f in fields(SkippedQuery)}))
+                    else:
+                        raise ValueError(f"unknown status {cells['status']!r}")
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        finally:
+            csv.field_size_limit(limit)
     if header != _OUTCOME_HEADER:
         raise ValueError(f"{path}: not an outcomes file (unexpected header)")
     return outcomes, skipped

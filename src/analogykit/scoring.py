@@ -221,19 +221,19 @@ def rank_answers(
     others.  Excluding every candidate is an error.
     """
     nan = np.isnan(scores)
-    n_ordered = scores.shape[0] - int(np.count_nonzero(nan))
+    nan = nan if nan.any() else None  # without NaN scores, no NaN masks
     positions = []
     for i in answers:
         s_i = scores[i]
-        if nan[i]:
-            ahead = n_ordered + np.count_nonzero(nan[:i])
+        if nan is not None and nan[i]:
+            ahead = scores.shape[0] - np.count_nonzero(nan) + np.count_nonzero(nan[:i])
         else:
             ahead = np.count_nonzero(scores > s_i) + np.count_nonzero(scores[:i] == s_i)
         positions.append(int(ahead) + 1)
 
     kept = np.ones(scores.shape[0], dtype=bool)
     kept[list(excluded)] = False
-    ordered = kept & ~nan
+    ordered = kept if nan is None else kept & ~nan
     if ordered.any():
         best = np.max(scores, where=ordered, initial=-np.inf)
         top = int(np.argmax(ordered & (scores == best)))

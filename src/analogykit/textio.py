@@ -12,19 +12,30 @@ inside their line.
 from __future__ import annotations
 
 import codecs
-from collections.abc import Generator, Iterator
+from contextlib import closing
 from pathlib import Path
 
 _CHUNK_BYTES = 2**20
 
 
-def open_text(path: str | Path, error: type[ValueError] = ValueError) -> Generator[str, None, None]:
+class Lines(closing):
+    """Iterates a generator; ``with`` gives the generator and closes it, and so its file, on exit."""
+
+    def __iter__(self):
+        return self.thing
+
+    def __next__(self):
+        return next(self.thing)
+
+
+def open_text(path: str | Path, error: type[ValueError] = ValueError) -> Lines:
     """Check ``path`` as UTF-8, then return an iterator of its lines, each ending in ``\\n`` (the last may not).
 
     Raises ``error`` naming file and line, before any line is read, when a
     byte is not valid UTF-8.  The iterator opens the file at its first line
-    and closes it when exhausted, closed or dropped.  Should the file turn
-    invalid after the check, the iterator raises ``error`` in the same way.
+    and closes it when exhausted, dropped, or left by ``with``, as a reader
+    that may stop early uses it.  Should the file turn invalid after the
+    check, the iterator raises ``error`` in the same way.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     try:
@@ -34,15 +45,15 @@ def open_text(path: str | Path, error: type[ValueError] = ValueError) -> Generat
         decoder.decode(b"", final=True)
     except UnicodeDecodeError:
         _raise_utf8_fault(path, error)
-    return _lines(path, error)
 
+    def lines():
+        with open(path, encoding="utf-8", newline=None) as fh:
+            try:
+                yield from fh
+            except UnicodeDecodeError:
+                _raise_utf8_fault(path, error)
 
-def _lines(path: str | Path, error: type[ValueError]) -> Generator[str, None, None]:
-    with open(path, encoding="utf-8", newline=None) as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError:
-            _raise_utf8_fault(path, error)
+    return Lines(lines())
 
 
 def _raise_utf8_fault(path: str | Path, error: type[ValueError]) -> None:
@@ -77,8 +88,13 @@ def _raise_utf8_fault(path: str | Path, error: type[ValueError]) -> None:
             offset += len(chunk)
 
 
-def read_tsv(path: str | Path, error: type[ValueError]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, fields)`` for each non-blank line of ``path``, split at tabs."""
-    for lineno, line in enumerate(open_text(path, error), start=1):
-        if not line.isspace():
-            yield lineno, line.rstrip("\n").split("\t")
+def read_tsv(path: str | Path, error: type[ValueError]) -> Lines:
+    """``(lineno, fields)`` for each non-blank line of ``path``, split at tabs, as :func:`open_text` gives lines."""
+
+    def rows():
+        with open_text(path, error) as lines:
+            for lineno, line in enumerate(lines, start=1):
+                if not line.isspace():
+                    yield lineno, line.rstrip("\n").split("\t")
+
+    return Lines(rows())

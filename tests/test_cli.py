@@ -548,6 +548,28 @@ def test_degenerate_input_file_names_the_file(tmp_path, capsys, command, which, 
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "content, extra",
+    [
+        (b"2 1000000000000000000000000000000\nking 1 2\n", ()),
+        (b"2 4611686018427387904\nking ", ("--embeddings-format", "binary")),
+    ],
+    ids=["text", "binary"],
+)
+def test_evaluate_names_the_file_of_a_header_too_wide_for_an_array(tmp_path, capsys, content, extra):
+    # numpy cannot shape such a row; the loader names the file before it allocates.
+    paths = write_royal_inputs(tmp_path, [royal_record()])
+    Path(paths["embeddings"]).write_bytes(content)
+    rc = main(evaluate_args(paths, *extra))
+    captured = capsys.readouterr()
+    assert rc == 1
+    dim = content.split()[1].decode()
+    assert f"error: {paths['embeddings']}: header declares {dim} values per vector, more than an array can hold\n" in (
+        captured.err
+    )
+    assert "Traceback" not in captured.err
+
+
 def corrupt_line_two(path: Path) -> None:
     lines = path.read_bytes().splitlines(keepends=True)
     lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]

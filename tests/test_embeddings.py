@@ -512,6 +512,31 @@ def test_a_header_larger_than_its_file_is_a_parse_error(tmp_path, text, message)
         load_embeddings(path)
 
 
+TOO_WIDE = "values per vector, more than an array can hold"
+
+
+@pytest.mark.parametrize(
+    "fmt, blob, message",
+    [
+        ("text", b"2 1000000000000000000000000000000\na 1 2\n", f": header declares {10**30} {TOO_WIDE}"),
+        ("text", b"2 1152921504606846976\na 1 2\n", f": header declares {2**60} {TOO_WIDE}"),
+        ("text", b"2 1152921504606846975\na 1 2\nb 3 4\n", ":2: expected 1152921504606846975 values, found 2"),
+        ("binary", b"2 4611686018427387904\na ", f": header declares {2**62} {TOO_WIDE}"),
+        ("binary", b"2 2305843009213693952\na ", f": header declares {2**61} {TOO_WIDE}"),
+        ("binary", b"2 2305843009213693951\na ", ": offset 24: truncated vector for token 'a'"),
+    ],
+    ids=["text-1e30", "text-2**60", "text-widest", "binary-2**62", "binary-2**61", "binary-widest"],
+)
+def test_a_header_too_wide_for_an_array_is_a_parse_error(tmp_path, fmt, blob, message):
+    # numpy shapes a row of at most np.iinfo(np.intp).max bytes, of 8-byte
+    # (text) or 4-byte (binary) values; a wider header names the file.
+    path = tmp_path / "wide.vec"
+    path.write_bytes(blob)
+    with pytest.raises(EmbeddingParseError) as caught:
+        load_embeddings(path, format=fmt)
+    assert str(caught.value) == f"{path}{message}"
+
+
 @pytest.mark.parametrize("fmt", ["text", "text-noheader"])
 def test_text_load_holds_its_matrix_and_one_chunk_of_lines(tmp_path, fmt):
     # Without a header the matrix grows in place, a chunk at a time.

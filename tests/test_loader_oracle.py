@@ -140,7 +140,9 @@ def oracle_load_binary(path: Path) -> EmbeddingMatrix:
         pos = sp + 1
         if pos + row_bytes > len(blob):
             raise EmbeddingParseError(f"{path}: offset {pos}: truncated vector for token {token!r}")
-        row = np.frombuffer(blob, dtype="<f4", count=dim, offset=pos).astype(np.float64)
+        # Widening a signaling NaN warns "invalid value"; the row is then non-finite, as below.
+        with np.errstate(invalid="ignore"):
+            row = np.frombuffer(blob, dtype="<f4", count=dim, offset=pos).astype(np.float64)
         pos += row_bytes
         if not np.isfinite(row).all():
             raise EmbeddingParseError(f"{path}: offset {pos - row_bytes}: non-finite value for token {token!r}")
@@ -447,14 +449,26 @@ class _Collect(logging.Handler):
 
 WORDS = ["w0", "w1", "w2", "w3", "w4", "up", "down", "zz", "qq"]  # zz and qq are out of vocabulary
 DECORATIONS = st.sampled_from(["", "", "!", "(", ")", "-", "'s"])
+# Out-of-vocabulary words whose keys the bulk lowering must get right: a
+# sigma after or before a letter, or after a case-ignorable (soft hyphen,
+# combining acute), and letters whose lowercase or uppercase is longer.
+CASED = ["Σ", "AΣ", "ΣA", "A\u00adΣ", "AΣ\u0301", "aς", "aσ", "İ", "ß", "SS"]
+# Whitespace to str.split, none of it a line break to CandidateIndex.
+SPACES = [" ", "  ", " - ", "\x85", "\x1c", "\u3000"]
+LINE_BREAKS = ["\n", "\r", "\r\n"]
 
 
 @st.composite
 def candidate_terms(draw):
     def one_term():
-        words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4))
+        if draw(st.integers(0, 9)) == 0:
+            # A line break inside a term of out-of-vocabulary words, so never kept: its slice is keyed per term.
+            words = draw(st.lists(st.sampled_from(["zz", "qq", *CASED]), min_size=1, max_size=3))
+            return draw(st.sampled_from(LINE_BREAKS)).join(words) + draw(st.sampled_from(["", *LINE_BREAKS]))
+        words = draw(st.lists(st.sampled_from(WORDS + CASED), min_size=1, max_size=4))
         cased = [w.upper() if draw(st.booleans()) else w for w in words]
-        return draw(st.sampled_from([" ", "  ", " - "])).join(cased) + draw(DECORATIONS)
+        pad = draw(st.sampled_from(["", "", " ", "\x85", "\u3000"]))
+        return pad + draw(st.sampled_from(SPACES)).join(cased) + draw(DECORATIONS) + pad
 
     return [one_term() for _ in range(draw(st.integers(1, 25)))]
 
@@ -488,6 +502,11 @@ GAPS_UP_DOWN = st.sampled_from([0.0, 1e-160, 1e-100])
 @example(terms=["up down", "w1", "W1!", "zz", "up - DOWN", "w2 zz w3"], seed=0, dim=3, zero_frac=0.3, gap=0.0)
 @example(terms=["up down", "zz qq"], seed=1, dim=2, zero_frac=0.0, gap=0.0)
 @example(terms=["w1", "up down", "up"], seed=2, dim=2, zero_frac=0.0, gap=1e-160)
+# A duplicate key through a final sigma, and a final sigma before the next term.
+@example(terms=["AΣ w1", "aς W1", "w1 aσ", "w2 AΣ", "ΣA w3"], seed=3, dim=3, zero_frac=0.0, gap=0.0)
+@example(terms=["w2", "zz\nqq", "ZZ\r", "w3 zz"], seed=4, dim=2, zero_frac=0.0, gap=0.0)  # discarded, with \n
+# Slices of 4 096 terms: the first ends with a term holding \n, duplicates span the boundary.
+@example(terms=["W1"] * 4095 + ["zz\nqq", "AΣ w1", "aς w1", "up down", "w1"], seed=5, dim=3, zero_frac=0.0, gap=0.0)
 def test_build_candidate_index_matches_per_term_reference(terms, seed, dim, zero_frac, gap):
     emb = candidate_vectors(seed, dim, zero_frac, gap)
     surfaces, rows, n_discarded, n_duplicates, warnings = reference_index(terms, emb)

@@ -135,3 +135,21 @@ def test_no_source_module_reads_a_whole_input_file():
             if name in ("read_bytes", "read_text", "readlines") or (name == "read" and not node.args):
                 whole.append(f"{path.name}:{node.lineno}: {name}")
     assert whole == []
+
+
+def test_every_source_reader_is_closed_by_a_with_block():
+    # A reader that stops partway must close its file at once: left to the
+    # collector, the file can be finalized unclosed and warn.  So every
+    # open_text or read_tsv call in src/ is the context expression of a with.
+    root = Path(__file__).resolve().parent.parent / "src"
+    unclosed = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        entered = {id(item.context_expr) for node in ast.walk(tree) if isinstance(node, ast.With) for item in node.items}
+        unclosed += [
+            f"{path.name}:{node.lineno}: {node.func.id}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("open_text", "read_tsv") and id(node) not in entered
+        ]
+    assert unclosed == []

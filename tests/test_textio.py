@@ -10,8 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from analogykit import textio
-from analogykit.datagen import GenerationError
+from analogykit import datagen, embeddings, reports, textio
+from analogykit.datagen import GenerationError, load_frequencies, load_lexicon, load_triples
+from analogykit.dataset import load_dataset
+from analogykit.embeddings import load_embeddings
+from analogykit.reports import load_outcomes_csv
 from analogykit.textio import open_text, read_tsv
 
 # The Unicode line boundaries other than \n, \r\n and \r.
@@ -47,6 +50,51 @@ def test_a_dropped_half_read_stream_closes_its_file(tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         del lines
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+OUTCOME_HEADER = ",".join(reports._OUTCOME_HEADER)
+
+
+# Each loader, a file it rejects partway through, after a line it has read.
+STOPPED_READERS = {
+    "outcomes": (load_outcomes_csv, f"{OUTCOME_HEADER}\nscored,r,a,c,d,maybe,1.0,1.0,1,1,\n"),
+    "dataset": (load_dataset, "r\ta\tb\tc\td\nr\ta\tb\n"),
+    "triples": (load_triples, "s\tr\to\ns\tr\n"),
+    "lexicon": (load_lexicon, "c\tterm\nc\n"),
+    "frequencies": (load_frequencies, "term\t3\nterm\tx\n"),
+    "embeddings": (load_embeddings, "2 2\na 1 2\nb 1\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(STOPPED_READERS))
+def test_a_reader_stopped_partway_closes_its_file(tmp_path, monkeypatch, name):
+    # A young collection between open_text's check and the first line can
+    # promote the lines' generator past the file it then opens.  Left to the
+    # collector in a cycle with the error's traceback, the file would be
+    # finalized first and warn that it was never closed: each reader must
+    # close its lines itself when it stops.
+    load, text = STOPPED_READERS[name]
+    path = tmp_path / f"stopped.{name}"
+    path.write_text(text, encoding="utf-8")
+    check = textio.open_text
+
+    def open_then_collect(*args):
+        lines = check(*args)
+        gc.collect(0)
+        return lines
+
+    def stop_and_keep_the_traceback():
+        # The error's traceback holds this frame, which holds the error: cyclic garbage on return.
+        with pytest.raises(ValueError, match=rf"stopped\.{name}:") as stopped:
+            load(path)
+
+    for module in (textio, reports, embeddings, datagen):
+        monkeypatch.setattr(module, "open_text", open_then_collect, raising=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stop_and_keep_the_traceback()
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
