@@ -19,7 +19,7 @@ _CHUNK_BYTES = 2**20
 
 
 class Lines(closing):
-    """Iterates a generator; ``with`` gives the generator and closes it, and so its file, on exit."""
+    """A generator's iterator; ``with`` gives the generator itself and closes it, and so its file, on exit."""
 
     def __iter__(self):
         return self.thing
