@@ -563,10 +563,8 @@ def test_evaluate_names_the_file_of_a_header_too_wide_for_an_array(tmp_path, cap
     rc = main(evaluate_args(paths, *extra))
     captured = capsys.readouterr()
     assert rc == 1
-    dim = content.split()[1].decode()
-    assert f"error: {paths['embeddings']}: header declares {dim} values per vector, more than an array can hold\n" in (
-        captured.err
-    )
+    message = f"header declares {content.split()[1].decode()} values per vector, more than an array can hold"
+    assert f"error: {paths['embeddings']}: {message}\n" in captured.err
     assert "Traceback" not in captured.err
 
 

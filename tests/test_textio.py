@@ -54,12 +54,9 @@ def test_a_dropped_half_read_stream_closes_its_file(tmp_path):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-OUTCOME_HEADER = ",".join(reports._OUTCOME_HEADER)
-
-
 # Each loader, a file it rejects partway through, after a line it has read.
 STOPPED_READERS = {
-    "outcomes": (load_outcomes_csv, f"{OUTCOME_HEADER}\nscored,r,a,c,d,maybe,1.0,1.0,1,1,\n"),
+    "outcomes": (load_outcomes_csv, ",".join(reports._OUTCOME_HEADER) + "\nscored,r,a,c,d,maybe,1.0,1.0,1,1,\n"),
     "dataset": (load_dataset, "r\ta\tb\tc\td\nr\ta\tb\n"),
     "triples": (load_triples, "s\tr\to\ns\tr\n"),
     "lexicon": (load_lexicon, "c\tterm\nc\n"),
@@ -86,12 +83,12 @@ def test_a_reader_stopped_partway_closes_its_file(tmp_path, monkeypatch, name):
         return lines
 
     def stop_and_keep_the_traceback():
-        # The error's traceback holds this frame, which holds the error: cyclic garbage on return.
-        with pytest.raises(ValueError, match=rf"stopped\.{name}:") as stopped:
+        # ``stopped`` holds the error, whose traceback holds this frame: cyclic garbage on return.
+        with pytest.raises(ValueError, match=rf"stopped\.{name}:") as stopped:  # noqa: F841
             load(path)
 
     for module in (textio, reports, embeddings, datagen):
-        monkeypatch.setattr(module, "open_text", open_then_collect, raising=False)
+        monkeypatch.setattr(module, "open_text", open_then_collect)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         stop_and_keep_the_traceback()
