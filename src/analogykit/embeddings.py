@@ -50,8 +50,10 @@ logger = logging.getLogger(__name__)
 
 EMBEDDING_FORMATS = ("text", "text-noheader", "binary")
 _TINY = np.finfo(np.float64).tiny
-# Text lines per np.loadtxt call, at most (a chunk also ends at _CHUNK_BYTES characters), and terms per key call.
+# Text lines parsed per np.loadtxt call, at most; a chunk also ends at _CHUNK_BYTES characters.
 _TEXT_LINES = 4096
+# Terms keyed per bulk lower() call; a term holding \n sends only its own slice to term_key.
+_KEY_TERMS = 4096
 
 
 class EmbeddingParseError(ValueError):
@@ -158,8 +160,8 @@ def _term_keys(terms: list[str]) -> list[str]:
     the end of a term does.  A slice with a term holding ``\\n`` is keyed term by term.
     """
     keys: list[str] = []
-    for i in range(0, len(terms), _TEXT_LINES):
-        part = terms[i : i + _TEXT_LINES]
+    for i in range(0, len(terms), _KEY_TERMS):
+        part = terms[i : i + _KEY_TERMS]
         pieces = "\n".join(part).lower().translate(_STRIP).split("\n")
         keys += [" ".join(p.split()) for p in pieces] if len(pieces) == len(part) else map(term_key, part)
     return keys
@@ -286,10 +288,7 @@ def build_candidate_index(terms: list[str], emb: EmbeddingMatrix) -> CandidateIn
     step = max(1, _CHUNK_BYTES // (8 * emb.dim))
     for i in range(0, len(keys), step):
         part = matrix[i : i + step]
-        if emb.vectors.dtype == part.dtype:  # no temporary, whose heap might not be given back
-            np.take(emb.vectors, heads[i : i + step], axis=0, out=part)
-        else:  # float32 rows widen exactly
-            part[...] = emb.vectors[heads[i : i + step]]
+        part[...] = emb.vectors[heads[i : i + step]]  # float32 rows widen exactly
         # The mean of one row is 0.0 + row: -0.0 becomes 0.0, nothing else changes.
         part += 0.0
         for j in split[np.searchsorted(split, i) : np.searchsorted(split, i + step)].tolist():

@@ -505,8 +505,11 @@ GAPS_UP_DOWN = st.sampled_from([0.0, 1e-160, 1e-100])
 # A duplicate key through a final sigma, and a final sigma before the next term.
 @example(terms=["AΣ w1", "aς W1", "w1 aσ", "w2 AΣ", "ΣA w3"], seed=3, dim=3, zero_frac=0.0, gap=0.0)
 @example(terms=["w2", "zz\nqq", "ZZ\r", "w3 zz"], seed=4, dim=2, zero_frac=0.0, gap=0.0)  # discarded, with \n
-# Slices of 4 096 terms: the first ends with a term holding \n, duplicates span the boundary.
-@example(terms=["W1"] * 4095 + ["zz\nqq", "AΣ w1", "aς w1", "up down", "w1"], seed=5, dim=3, zero_frac=0.0, gap=0.0)
+# Key slices: the first ends with a term holding \n, duplicates span the boundary.
+@example(
+    terms=["W1"] * (embeddings._KEY_TERMS - 1) + ["zz\nqq", "AΣ w1", "aς w1", "up down", "w1"],
+    seed=5, dim=3, zero_frac=0.0, gap=0.0,
+)
 def test_build_candidate_index_matches_per_term_reference(terms, seed, dim, zero_frac, gap):
     emb = candidate_vectors(seed, dim, zero_frac, gap)
     surfaces, rows, n_discarded, n_duplicates, warnings = reference_index(terms, emb)
