@@ -371,6 +371,16 @@ def test_binary_loader_errors_match_oracle_on_mutated_files(tmp_path, table, dat
     assert_loaders_agree(path, "binary")
 
 
+def test_binary_loaders_agree_on_a_signaling_nan(tmp_path):
+    # Shifted bytes can read as a signaling NaN, whose widening warns; both loaders call it non-finite.
+    values = np.array([0x3F800000, 0x7FA00000], dtype="<u4").tobytes()
+    path = tmp_path / "snan.bin"
+    path.write_bytes(b"1 2\nw " + values + b"\n")
+    assert not assert_loaders_agree(path, "binary")
+    with pytest.raises(EmbeddingParseError, match=r"offset 6: non-finite value for token 'w'"):
+        load_embeddings(path, "binary")
+
+
 # Value text at the edge of the grammar: digit groups, non-ASCII digits,
 # signs, points, exponents and the nan/inf spellings, alone or run together.
 VALUE_PIECES = ["0", "7", ".", "e", "E", "+", "-", "_", "inf", "nan", "Infinity", "x", "(", "１", "٣"]
