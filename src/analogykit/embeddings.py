@@ -10,9 +10,10 @@ Vector file formats:
 * ``binary``: word2vec-compatible binary.  Header line, then per token: the
   token bytes terminated by a single space, followed by ``dim`` little-endian
   float32 values.  A trailing newline per row is written on save and
-  tolerated on load.  The file is read in chunks, and each row's values are
-  copied into one float32 array; they stay float32, as the file stores them;
-  text files and the :class:`EmbeddingMatrix` constructor give float64.
+  tolerated on load.  The file is read in chunks; each row is one pattern
+  match, and its values are copied in one call into one float32 array.  They
+  stay float32, as the file stores them; text files and the
+  :class:`EmbeddingMatrix` constructor give float64.
   Every computation upcasts to float64 first, which is exact, so scores do
   not depend on the stored dtype.
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import unicodedata
 from collections.abc import Container, Iterator
 from dataclasses import dataclass
@@ -54,6 +56,8 @@ _TINY = np.finfo(np.float64).tiny
 _TEXT_LINES = 4096
 # Terms keyed per bulk lower() call; a term holding \n sends only its own slice to term_key.
 _KEY_TERMS = 4096
+# The newlines a binary row may leave before the next row.
+_NEWLINES = re.compile(rb"\n*")
 
 
 class EmbeddingParseError(ValueError):
@@ -497,12 +501,14 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
 
     The matrix is sized from the header only as far as the file can hold
     rows, so the load holds the matrix, one chunk, and the tokens' bytes and
-    offsets.  A row inside the chunk, as most are, costs one ``find``, one
-    slice of its token and one copy of its values; only a chunk's end reads
-    on.  Once the rows are read, the tokens are decoded in one call and
-    checked by :func:`_token_fault`.  A fault stops the read, but the rows
-    before it are checked first, so the error names the first fault in file
-    order, as a row-by-row read would.
+    offsets.  Each row is one match of one pattern at a cursor in the chunk:
+    the newlines the last row left, a token up to its space, then ``4 * dim``
+    value bytes.  A miss reads the file again from the row's token: a chunk,
+    or more for a token or row longer than one.  The file's end, or values
+    that would end past it, cut the row.  Once the rows are read, the tokens
+    are decoded in one call and checked by :func:`_token_fault`.  A fault
+    stops the read, but the rows before it are checked first, so the error
+    names the first fault in file order, as a row-by-row read would.
     """
     with open(path, "rb") as fh:
         head = fh.readline()
@@ -514,6 +520,12 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
         count, dim = header
         row_bytes = 4 * dim
         size = os.fstat(fh.fileno()).st_size
+        # A row: the newlines the last one left, its token and space, its values.  (?!\n) keeps a miss on a run
+        # of newlines linear.  No row outruns the file, and re repeats a pattern fewer than 2**32 - 1 times.
+        try:
+            row = re.compile(rb"\n*(?!\n)([^ ]* )(.{%d})" % min(row_bytes, size + 1), re.DOTALL)
+        except OverflowError:
+            raise EmbeddingParseError(f"{path}: header declares {dim} values per vector; rows of 4 GiB are not read")
         # A row takes at least a space and its values: size nothing the file cannot hold.
         vectors = np.empty((min(count, (size - len(head)) // (row_bytes + 1)), dim), dtype="<f4")
         names = bytearray()  # each token with the space that ends it
@@ -521,55 +533,36 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
         n = 0  # rows whose values are in ``vectors``
         error = None
         buf, at, base = b"", 0, len(head)  # buf[at:] is the unread part of the chunk at offset base
-
-        def more() -> bool:
-            """Keep ``buf[at:]`` and append the next chunk; false at the end of the file."""
-            nonlocal buf, at, base
-            rest, base, buf = buf[at:], base + at, b""
-            chunk = fh.read(_CHUNK_BYTES)
-            buf, at = rest + chunk, 0
-            return bool(chunk)
-
-        def skip_newlines() -> None:
-            nonlocal at
-            while True:
-                while at < len(buf) and buf[at] == 0x0A:
-                    at += 1
-                if at < len(buf) or not more():
-                    return
-
         with memoryview(vectors.view(np.uint8).reshape(-1)) as out:
-            for i in range(count):
-                if at >= len(buf) or buf[at] == 0x0A:  # a chunk's end, or newlines the last row left
-                    skip_newlines()
-                start, scanned = base + at, 0
-                while (sp := buf.find(b" ", at + scanned)) < 0:
-                    scanned = len(buf) - at
-                    if not more():
-                        break
-                if sp < 0:
-                    error = f"offset {start}: unterminated token for vector {i}"
+            while n < count:
+                if m := row.match(buf, at, size - base):  # only the bytes the file had when opened are rows
+                    starts.append(base + m.start(1))
+                    names += m[1]
+                    out[n * row_bytes : (n + 1) * row_bytes] = m[2]
+                    at, n = m.end(), n + 1
+                    continue
+                at = _NEWLINES.match(buf, at).end()  # the row the chunk ends in starts at its token
+                if (sp := buf.find(b" ", at)) >= 0 and base + sp + 1 + row_bytes > size:
+                    break  # its values would end past the file as opened
+                # Read again from the token: a chunk, twice what a long token has so far, or a whole long row.
+                step = max(_CHUNK_BYTES, 2 * (len(buf) - at) if sp < 0 else sp - at + 1 + row_bytes)
+                kept, base, buf = len(buf) - at, base + at, b""  # drop the chunk before the next is read
+                fh.seek(base)
+                buf, at = fh.read(step), 0
+                if len(buf) <= kept:
                     break
-                starts.append(start)
-                names += buf[at : sp + 1]
-                at = sp + 1
-                if base + at + row_bytes > size:
-                    break  # a truncated row, named once its token is known
-                dst, end = n * row_bytes, (n + 1) * row_bytes
-                if at + row_bytes < len(buf):  # the common row: its values and the next byte are in the chunk
-                    out[dst:end] = buf[at : at + row_bytes]
-                    dst, at = end, at + row_bytes + (buf[at + row_bytes] == 0x0A)  # and its newline
-                while dst < end and (at < len(buf) or more()):
-                    take = min(end - dst, len(buf) - at)
-                    out[dst : dst + take] = buf[at : at + take]
-                    dst, at = dst + take, at + take
-                if dst < end:
-                    break  # the file shrank while being read
-                n += 1
-            else:
-                skip_newlines()
+            if n < count:  # a cut row: in its values if its token is whole
+                if (sp := buf.find(b" ", at)) >= 0:
+                    starts.append(base + at)
+                    names += buf[at : sp + 1]
+                else:
+                    error = f"offset {base + at}: unterminated token for vector {n}"
+            else:  # only newlines may follow the rows
+                while (at := _NEWLINES.match(buf, at).end()) == len(buf) and (chunk := fh.read(_CHUNK_BYTES)):
+                    buf, base, at = chunk, base + at, 0
                 if at < len(buf):
                     error = f"offset {base + at}: trailing data after {count} vectors"
+        buf = chunk = m = None  # the last chunk, which the match may hold too
 
     try:
         tokens = names.decode("utf-8").split(" ")

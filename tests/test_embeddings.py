@@ -358,6 +358,27 @@ def test_a_binary_file_that_shrinks_while_read_names_the_cut_row(small_matrix, t
     assert "truncated vector" in str(cut.value)
 
 
+def test_a_binary_file_that_grows_while_read_reads_only_the_bytes_it_had(small_matrix, tmp_path, monkeypatch):
+    # A row whose values end past the size the file had when opened is cut there.
+    path = tmp_path / "grown.bin"
+    save_embeddings(small_matrix, path, format="binary")
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-10])
+    with pytest.raises(EmbeddingParseError) as cut:
+        load_embeddings(path, format="binary")
+    path.write_bytes(blob)
+    stat = os.fstat
+
+    def as_opened(fd):
+        return os.stat_result((*stat(fd)[:6], len(blob) - 10, *stat(fd)[7:]))
+
+    monkeypatch.setattr(embeddings.os, "fstat", as_opened)
+    with pytest.raises(EmbeddingParseError) as grown:
+        load_embeddings(path, format="binary")
+    assert str(grown.value) == str(cut.value)
+    assert "truncated vector" in str(cut.value)
+
+
 def test_binary_trailing_bytes_rejected(small_matrix, tmp_path):
     path = tmp_path / "extra.bin"
     save_embeddings(small_matrix, path, format="binary")
@@ -537,6 +558,18 @@ def test_a_header_too_wide_for_an_array_is_a_parse_error(tmp_path, fmt, blob, me
     assert str(caught.value) == f"{path}{message}"
 
 
+def test_a_binary_row_of_4_gib_in_a_file_as_long_is_a_parse_error(tmp_path, monkeypatch):
+    # A row is one match of a pattern that repeats its value bytes 4 * dim times,
+    # cut to the file's size, and re repeats a pattern fewer than 2**32 - 1 times.
+    path = tmp_path / "wide.bin"
+    path.write_bytes(b"1 1073741824\na " + bytes(8))
+    stat = os.fstat
+    monkeypatch.setattr(embeddings.os, "fstat", lambda fd: os.stat_result((*stat(fd)[:6], 2**33, *stat(fd)[7:])))
+    with pytest.raises(EmbeddingParseError) as caught:
+        load_embeddings(path, format="binary")
+    assert str(caught.value) == f"{path}: header declares {2**30} values per vector; rows of 4 GiB are not read"
+
+
 @pytest.mark.parametrize("fmt", ["text", "text-noheader"])
 def test_text_load_holds_its_matrix_and_one_chunk_of_lines(tmp_path, fmt):
     # Without a header the matrix grows in place, a chunk at a time.
@@ -623,6 +656,36 @@ def test_a_binary_header_larger_than_its_file_is_a_parse_error(tmp_path, header,
     with pytest.raises(EmbeddingParseError) as caught:
         load_embeddings(path, format="binary")
     assert str(caught.value) == f"{path}: {message}"
+
+
+ONE = np.array([1.0], dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize(
+    "blob, tokens",
+    [
+        (b"1 4000000\na " + bytes(8 * 2**20), None),
+        (b"2 1\na " + ONE + b"\n" * (8 * 2**20) + b"b " + ONE + b"\n", ["a", "b"]),
+    ],
+    ids=["row-past-the-end", "newlines"],
+)
+def test_a_binary_load_holds_one_chunk_of_what_it_does_not_keep(tmp_path, blob, tokens):
+    # Once a row's token is read, a row whose values would end past the file is
+    # cut without reading on; newlines between rows are dropped as they are read.
+    path = tmp_path / "long.bin"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        if tokens is None:
+            with pytest.raises(EmbeddingParseError, match="offset 12: truncated vector for token 'a'"):
+                load_embeddings(path, format="binary")
+        else:
+            assert load_embeddings(path, format="binary").tokens == tokens
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # About a chunk; holding what was read past the first row would take 8 MiB.
+    assert peak < 3 * 2**20 < path.stat().st_size / 2
 
 
 @pytest.mark.parametrize("fmt", ["text", "text-noheader"])

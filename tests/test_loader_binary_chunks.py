@@ -4,18 +4,21 @@ The loader reads ``textio._CHUNK_BYTES`` bytes at a time, 1 MiB in use, so
 the oracle tests' files fit in one chunk.  Here a chunk is 1-7 bytes, so
 tokens, row values, newlines and the trailing check all span chunk ends.
 Files are valid, or cut, grown or changed at one drawn byte.  The loader
-must give the oracle's rows or its message.
+must give the oracle's rows or its message.  The last tests keep the 1 MiB
+chunk and build files that put each part of a row across its end.
 """
 
 from __future__ import annotations
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from analogykit import embeddings
+from analogykit.embeddings import EmbeddingParseError, load_embeddings
 from test_loader_oracle import assert_loaders_agree, binary_tables, render_binary
 
 # The oracle's np.linalg.norm warns when a row's sum of squares overflows, and
@@ -55,3 +58,73 @@ def test_changed_files_match_the_oracle_across_chunks(tmp_path, table, chunk, da
     path.write_bytes(blob)
     with mock.patch.object(embeddings, "_CHUNK_BYTES", chunk):
         assert_loaders_agree(path, "binary")
+
+
+def test_values_made_of_space_and_newline_bytes_load_bit_for_bit(tmp_path):
+    # Values are bytes, not text: a space or newline in them ends no token and
+    # starts no row, and the newlines after a row end before its next token.
+    spaces, newlines = b"    ", b"\n\n\n\n"  # the float32 values 1.356e-19 and 6.6e-33
+    path = tmp_path / "bytes.bin"
+    path.write_bytes(b"2 2\na " + spaces + newlines + b"\n\nb " + newlines + spaces + b"\n")
+    expected = np.frombuffer(spaces + newlines + newlines + spaces, dtype="<f4").reshape(2, 2)
+    for chunk in (*range(1, 8), embeddings._CHUNK_BYTES):
+        with mock.patch.object(embeddings, "_CHUNK_BYTES", chunk):
+            loaded = load_embeddings(path, "binary")
+            assert assert_loaders_agree(path, "binary")
+        assert loaded.tokens == ["a", "b"]
+        assert loaded.vectors.tobytes() == expected.tobytes()
+
+
+# Three float32 values, none of whose bytes is a space or a newline.
+VALUES = np.array([1.5, -2.0, 0.25], dtype="<f4").tobytes()
+ROW = b"tok " + VALUES + b"\n"
+
+
+def across_the_chunk_end(tail: bytes, before: int, rows: int) -> bytes:
+    """A binary file of three values per row whose ``tail`` starts ``before`` bytes before the first chunk ends.
+
+    The loader reads its chunks after the header line, so rows of about 1 KiB
+    fill the file from the header up to ``tail``, and ``tail[before:]`` is read
+    in the second chunk.  ``rows`` is how many rows ``tail`` starts.
+    """
+    fill = embeddings._CHUNK_BYTES - before
+    sizes = [1024] * (fill // 1024 - 1)
+    sizes.append(fill - sum(sizes))
+    body = b"".join(f"{i}:".encode().ljust(size - 14, b"f") + b" " + VALUES + b"\n" for i, size in enumerate(sizes))
+    assert len(body) == fill
+    return f"{len(sizes) + rows} 3\n".encode() + body + tail
+
+
+def test_a_row_across_the_chunk_end_loads_alike(tmp_path):
+    # At the 1 MiB chunk in use, the chunk ends in the second token, after its
+    # space, at each byte of its values, and before and after its newline.
+    path = tmp_path / "across.bin"
+    for before in range(1, len(ROW) + 1):
+        path.write_bytes(across_the_chunk_end(ROW + b"next " + VALUES + b"\n", before, rows=2))
+        assert assert_loaders_agree(path, "binary"), before
+
+
+@pytest.mark.parametrize(
+    "tail, before, rows, message",
+    [
+        (ROW + b"\n\n\n", len(ROW) + 2, 1, None),
+        (ROW + b"\n\n\nx", len(ROW) + 2, 1, "trailing data after"),
+        (ROW + b"\n\n\nx", len(ROW) + 3, 1, "trailing data after"),
+        (ROW + b"\n" * (2**20 + 2) + b"next " + VALUES + b"\n", len(ROW) + 1, 2, None),
+        (ROW + b"long", len(ROW) + 2, 2, "unterminated token for vector"),
+        (ROW + b"cut " + VALUES[:7], len(ROW) + 6, 2, "truncated vector for token 'cut'"),
+    ],
+    ids=["newlines", "junk-after-newlines", "junk-first", "newlines-longer-than-a-chunk", "cut-token", "cut-values"],
+)
+def test_the_end_of_the_rows_across_the_chunk_end_loads_alike(tmp_path, tail, before, rows, message):
+    # After the last row, newlines cross the chunk end, with or without a junk
+    # byte after them; a run of them longer than a chunk lies between two
+    # rows; or the file is cut in a token or in a row's values past the end.
+    path = tmp_path / "end.bin"
+    path.write_bytes(across_the_chunk_end(tail, before, rows))
+    if message is None:
+        assert assert_loaders_agree(path, "binary")
+    else:
+        with pytest.raises(EmbeddingParseError, match=message):
+            load_embeddings(path, "binary")
+        assert not assert_loaders_agree(path, "binary")

@@ -137,6 +137,33 @@ def test_no_source_module_reads_a_whole_input_file():
     assert whole == []
 
 
+def test_no_source_module_maps_an_input_file():
+    # Mapped pages count in the process's resident peak but not in tracemalloc,
+    # so the load memory tests would not see a loader that maps its input; and
+    # a file cut while mapped raises SIGBUS, not a parse error naming the file.
+    # So no module imports mmap, or maps through numpy's memmap or mmap_mode.
+    root = Path(__file__).resolve().parent.parent / "src"
+    mapped = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.keyword):
+                names = [node.arg or ""]
+            else:
+                continue
+            mapped += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[0] == "mmap" or name in ("memmap", "mmap_mode")
+            ]
+    assert mapped == []
+
+
 def test_every_source_reader_is_closed_by_a_with_block():
     # A reader that stops partway must close its file at once: left to the
     # collector, the file can be finalized unclosed and warn.  So every
