@@ -543,10 +543,11 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
                     continue
                 at = _NEWLINES.match(buf, at).end()  # the row the chunk ends in starts at its token
                 if (sp := buf.find(b" ", at)) >= 0 and base + sp + 1 + row_bytes > size:
-                    break  # its values would end past the file as opened
+                    break  # its values would end past the file as opened; no read below asks for more
                 # Read again from the token: a chunk, twice what a long token has so far, or a whole long row.
-                step = max(_CHUNK_BYTES, 2 * (len(buf) - at) if sp < 0 else sp - at + 1 + row_bytes)
-                kept, base, buf = len(buf) - at, base + at, b""  # drop the chunk before the next is read
+                kept = len(buf) - at
+                step = max(_CHUNK_BYTES, 2 * kept if sp < 0 else sp - at + 1 + row_bytes)
+                base, buf = base + at, b""  # drop the chunk before the next is read
                 fh.seek(base)
                 buf, at = fh.read(step), 0
                 if len(buf) <= kept:
