@@ -384,9 +384,9 @@ def _check_values(tokens: list[str], vectors: np.ndarray, where, error: type[Val
 def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
     """Stream the rows into one float64 matrix, one chunk of lines (:func:`_take_lines`) per ``np.loadtxt`` call.
 
-    The matrix is sized from the header when the file can hold that many
-    rows, and grown a chunk at a time otherwise, so the load holds one chunk
-    of lines, never the file's bytes or all of its lines, also on a fault.
+    The matrix grows by each chunk's rows, and a header's count is only
+    compared with the rows read, so the load holds one chunk of lines, never
+    the file's bytes or all of its lines, also on a fault.
     Each chunk is checked as it lands: its tokens against all before them,
     its rows by :func:`_check_values`.  A chunk that does not parse or
     repeats a token goes to :func:`_scan_text`, which names its first bad
@@ -404,9 +404,7 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
                 raise EmbeddingParseError(f"{path}:1: no vector values on first data line")
         else:
             start, dim, data = 1, header[1], lines
-        # A row takes at least 2 * dim + 1 bytes: a header the file cannot hold sizes nothing.
-        fits = header is not None and header[0] * (2 * dim + 1) <= path.stat().st_size
-        vectors = np.empty((header[0] if fits else 0, dim))
+        vectors = np.empty((0, dim))
         row: dict[str, int] = {}  # the rows' tokens, in file order
         n = 0
         fault = None
@@ -436,8 +434,7 @@ def _load_text(path: Path, force_headerless: bool) -> EmbeddingMatrix:
                 n += len(chunk) + sum(1 for _ in data)
                 break
             row.update(zip(names, range(n, n + len(chunk))))
-            if n + len(chunk) > len(vectors):
-                vectors.resize((n + len(chunk), dim), refcheck=False)
+            vectors.resize((n + len(chunk), dim), refcheck=False)
             vectors[n : n + len(chunk)] = rows
             n += len(chunk)
             del chunk, rows, names  # before the next chunk is read

@@ -162,6 +162,15 @@ def test_headerless_round_trip_and_autodetect(small_matrix, tmp_path):
     assert np.array_equal(detected.vectors, small_matrix.vectors)
 
 
+def test_a_two_field_first_line_that_is_no_header_is_data(tmp_path):
+    # Two fields that do not parse as integers are a dim-1 GloVe row, not a header.
+    path = tmp_path / "dim1.glove.txt"
+    path.write_text("a 0.5\nb 0.25\n", encoding="utf-8")
+    loaded = load_embeddings(path, format="text")
+    assert loaded.tokens == ["a", "b"]
+    assert loaded.vectors.tolist() == [[0.5], [0.25]]
+
+
 def test_binary_round_trip_is_float32_exact(small_matrix, tmp_path):
     path = tmp_path / "vec.bin"
     save_embeddings(small_matrix, path, format="binary")
@@ -526,11 +535,31 @@ def test_text_fault_past_the_first_chunk_names_its_line(tmp_path):
     ids=["count", "dim"],
 )
 def test_a_header_larger_than_its_file_is_a_parse_error(tmp_path, text, message):
-    # The loader sizes its matrix from the header only when the file can hold that many values.
+    # The header's count is only compared with the rows read; it sizes nothing.
     path = tmp_path / "big.txt"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(EmbeddingParseError, match=re.escape(message)):
         load_embeddings(path)
+
+
+def test_a_header_count_past_the_rows_allocates_nothing_for_it(tmp_path):
+    # One row whose long token makes the file as long as the header's count of
+    # rows could be, at two bytes per character in the file and one in memory.
+    dim = 100
+    row = "é" * 2**20 + " 0.5" * dim + "\n"
+    count = len(row.encode("utf-8")) // (2 * dim + 1)
+    path = tmp_path / "long-token.txt"
+    path.write_text(f"{count} {dim}\n{row}", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(EmbeddingParseError) as caught:
+            load_embeddings(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == f"{path}: header declares {count} vectors, found 1"
+    # The load holds the line a few times over, about 3 MiB; a matrix of count rows is 8 MB.
+    assert peak < count * dim * 8 / 2
 
 
 TOO_WIDE = "values per vector, more than an array can hold"
@@ -572,7 +601,7 @@ def test_a_binary_row_of_4_gib_in_a_file_as_long_is_a_parse_error(tmp_path, monk
 
 @pytest.mark.parametrize("fmt", ["text", "text-noheader"])
 def test_text_load_holds_its_matrix_and_one_chunk_of_lines(tmp_path, fmt):
-    # Without a header the matrix grows in place, a chunk at a time.
+    # With or without a header the matrix grows in place, a chunk at a time.
     n, dim = 20_000, 50
     emb = EmbeddingMatrix([f"w{i}" for i in range(n)], np.random.default_rng(9).normal(size=(n, dim)))
     path = tmp_path / "big.txt"

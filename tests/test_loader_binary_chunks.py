@@ -4,8 +4,11 @@ The loader reads ``textio._CHUNK_BYTES`` bytes at a time, 1 MiB in use, so
 the oracle tests' files fit in one chunk.  Here a chunk is 1-7 bytes, so
 tokens, row values, newlines and the trailing check all span chunk ends.
 Files are valid, or cut, grown or changed at one drawn byte.  The loader
-must give the oracle's rows or its message.  The last tests keep the 1 MiB
-chunk and build files that put each part of a row across its end.
+must give the oracle's rows or its message.  A row longer than a chunk is
+read whole once its token is read, so at 1-7 bytes its values never straddle
+a read: a sibling test draws chunks of 8-48 bytes, past most rows, and a
+test counts the reads of rows longer than a chunk.  The last tests keep the
+1 MiB chunk and build files that put each part of a row across its end.
 """
 
 from __future__ import annotations
@@ -60,6 +63,30 @@ def test_changed_files_match_the_oracle_across_chunks(tmp_path, table, chunk, da
         assert_loaders_agree(path, "binary")
 
 
+# A row of binary_tables takes 3-43 bytes, so most fit in such a chunk and their values straddle a read end.
+CHUNK_BYTES_PAST_A_ROW = st.integers(8, 48)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=binary_tables(), chunk=CHUNK_BYTES_PAST_A_ROW, data=st.data())
+def test_files_match_the_oracle_across_chunks_longer_than_a_row(tmp_path, table, chunk, data):
+    count = data.draw(st.sampled_from([None, len(table["tokens"]) - 1, len(table["tokens"]) + 1]))
+    blob = render_binary(table, count)[0]
+    at = data.draw(st.integers(blob.index(b"\n") + 1, len(blob)))
+    kind = data.draw(st.sampled_from(["keep", "cut", "insert", "replace"]))
+    some = data.draw(st.sampled_from([b" ", b"\n", b"\xff", b"\x00\x00\x80\x7f", b"a", b"\n \n", b"x 1234"]))
+    if kind == "cut":
+        blob = blob[:at]
+    elif kind == "insert":
+        blob = blob[:at] + some + blob[at:]
+    elif kind == "replace":
+        blob = blob[:at] + some + blob[at + len(some) :]
+    path = tmp_path / "straddled.bin"
+    path.write_bytes(blob)
+    with mock.patch.object(embeddings, "_CHUNK_BYTES", chunk):
+        assert_loaders_agree(path, "binary")
+
+
 def test_values_made_of_space_and_newline_bytes_load_bit_for_bit(tmp_path):
     # Values are bytes, not text: a space or newline in them ends no token and
     # starts no row, and the newlines after a row end before its next token.
@@ -78,6 +105,44 @@ def test_values_made_of_space_and_newline_bytes_load_bit_for_bit(tmp_path):
 # Three float32 values, none of whose bytes is a space or a newline.
 VALUES = np.array([1.5, -2.0, 0.25], dtype="<f4").tobytes()
 ROW = b"tok " + VALUES + b"\n"
+
+
+class CountedReads:
+    """A binary file whose ``read`` calls are counted."""
+
+    def __init__(self, fh):
+        self.fh, self.reads = fh, 0
+
+    def read(self, size):
+        self.reads += 1
+        return self.fh.read(size)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_a_row_longer_than_a_chunk_is_read_whole_once_its_token_is_read(tmp_path, monkeypatch):
+    # A 16-byte chunk reaches each 260-byte row's token and space; the next read takes the whole row.
+    rows = 5
+    path = tmp_path / "long-rows.bin"
+    path.write_bytes(b"%d 64\n" % rows + b"".join(b"w%d " % i + VALUES[:4] * 64 + b"\n" for i in range(rows)))
+    opened = []
+
+    def counted_open(*args):
+        opened.append(CountedReads(open(*args)))
+        return opened[-1]
+
+    monkeypatch.setattr(embeddings, "open", counted_open, raising=False)
+    monkeypatch.setattr(embeddings, "_CHUNK_BYTES", 16)
+    assert load_embeddings(path, "binary").tokens == [f"w{i}" for i in range(rows)]
+    # Two reads a row, then the last newline and the end of the file; growing a read a chunk at a time takes 83.
+    assert opened[0].reads == 2 * rows + 2
 
 
 def across_the_chunk_end(tail: bytes, before: int, rows: int) -> bytes:

@@ -105,6 +105,25 @@ def test_a_file_turned_invalid_after_the_check_names_its_line(tmp_path):
         list(lines)
 
 
+def test_a_file_valid_again_when_the_fault_is_named_was_changed_while_read(tmp_path, monkeypatch):
+    # The lines meet a bad byte, but the file is valid again by the time its
+    # fault is looked for, so there is no line to name.
+    path = tmp_path / "changed.txt"
+    path.write_bytes(b"a\nb\n")
+    lines = open_text(path, GenerationError)
+    path.write_bytes(b"a\nb\n\xffc\n")
+    name_fault = textio._raise_utf8_fault
+
+    def restore_then_name(*args):
+        path.write_bytes(b"a\nb\n")
+        name_fault(*args)
+
+    monkeypatch.setattr(textio, "_raise_utf8_fault", restore_then_name)
+    with pytest.raises(GenerationError) as caught:
+        list(lines)
+    assert str(caught.value) == f"{path}: changed while being read"
+
+
 def test_the_check_reads_chunks_across_a_split_character_and_names_a_late_line(tmp_path):
     # A three-byte character straddles the first chunk boundary; the bad byte lies past it.
     first = "x" * (2**20 - 2) + "€\n"
