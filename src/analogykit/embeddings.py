@@ -54,8 +54,6 @@ EMBEDDING_FORMATS = ("text", "text-noheader", "binary")
 _TINY = np.finfo(np.float64).tiny
 # Text lines parsed per np.loadtxt call, at most; a chunk also ends at _CHUNK_BYTES characters.
 _TEXT_LINES = 4096
-# Terms keyed per bulk lower() call; a term holding \n sends only its own slice to term_key.
-_KEY_TERMS = 4096
 # The newlines a binary row may leave before the next row.
 _NEWLINES = re.compile(rb"\n*")
 
@@ -158,17 +156,13 @@ def term_key(term: str) -> str:
 
 
 def _term_keys(terms: list[str]) -> list[str]:
-    """:func:`term_key` of every term, lowercased and stripped a slice of terms joined by ``\\n`` at a time.
+    """:func:`term_key` of every term, all terms joined by ``\\n`` and lowercased and stripped at once.
 
     ``\\n`` is neither cased nor case-ignorable, so it bounds a final sigma as
-    the end of a term does.  A slice with a term holding ``\\n`` is keyed term by term.
+    the end of a term does.  Should some term hold ``\\n``, every term is keyed on its own.
     """
-    keys: list[str] = []
-    for i in range(0, len(terms), _KEY_TERMS):
-        part = terms[i : i + _KEY_TERMS]
-        pieces = "\n".join(part).lower().translate(_STRIP).split("\n")
-        keys += [" ".join(p.split()) for p in pieces] if len(pieces) == len(part) else map(term_key, part)
-    return keys
+    pieces = "\n".join(terms).lower().translate(_STRIP).split("\n")
+    return [" ".join(p.split()) for p in pieces] if len(pieces) == len(terms) else list(map(term_key, terms))
 
 
 def _first_index(keys: list[str]) -> dict[str, int]:

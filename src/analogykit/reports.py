@@ -145,6 +145,8 @@ def load_outcomes_csv(path: str | Path) -> tuple[list[QueryOutcome], list[Skippe
                         skipped.append(SkippedQuery(**{f.name: cells[f.name] for f in fields(SkippedQuery)}))
                     else:
                         raise ValueError(f"unknown status {cells['status']!r}")
+        except UnicodeDecodeError:  # a ValueError too; open_text names its own line
+            raise
         except (csv.Error, ValueError) as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
         finally:

@@ -1,41 +1,33 @@
 """Text input files: checked UTF-8, one line-break rule, errors naming file and line.
 
 Every text input is read through :func:`open_text`.  It checks the whole
-file's UTF-8 first, a chunk at a time, then streams the file's lines, so a
-read holds one chunk of the file, never all of it.  Naming the line of a bad
-byte reads the file again, also a chunk at a time.  Lines end at ``\\n``,
-``\\r\\n`` or ``\\r``, as in a file opened in text mode; the other Unicode line
-boundaries (``\\x0b \\x0c \\x1c \\x1d \\x1e \\x85 \\u2028 \\u2029``) stay
-inside their line.
+file's UTF-8 first, a chunk at a time; its ``with`` block then iterates the
+file itself, so a read holds one chunk of the file, never all of it.  Naming
+the line of a bad byte reads the file again, also a chunk at a time.  Lines
+end at ``\\n``, ``\\r\\n`` or ``\\r``, as in a file opened in text mode; the
+other Unicode line boundaries (``\\x0b \\x0c \\x1c \\x1d \\x1e \\x85 \\u2028
+\\u2029``) stay inside their line.
 """
 
 from __future__ import annotations
 
 import codecs
-from contextlib import closing
+from collections.abc import Iterator
+from contextlib import AbstractContextManager, contextmanager
 from pathlib import Path
+from typing import TextIO
 
 _CHUNK_BYTES = 2**20
 
 
-class Lines(closing):
-    """A generator's iterator; ``with`` gives the generator itself and closes it, and so its file, on exit."""
-
-    def __iter__(self):
-        return self.thing
-
-    def __next__(self):
-        return next(self.thing)
-
-
-def open_text(path: str | Path, error: type[ValueError] = ValueError) -> Lines:
-    """Check ``path`` as UTF-8, then return an iterator of its lines, each ending in ``\\n`` (the last may not).
+def open_text(path: str | Path, error: type[ValueError] = ValueError) -> AbstractContextManager[TextIO]:
+    """Check ``path`` as UTF-8, then return a context manager whose ``with`` gives the file open in text mode.
 
     Raises ``error`` naming file and line, before any line is read, when a
-    byte is not valid UTF-8.  The iterator opens the file at its first line
-    and closes it when exhausted, dropped, or left by ``with``, as a reader
-    that may stop early uses it.  Should the file turn invalid after the
-    check, the iterator raises ``error`` in the same way.
+    byte is not valid UTF-8.  The file is opened when the ``with`` block is
+    entered and closed when it is left; each line ends in ``\\n`` (the last
+    may not).  Should the file turn invalid after the check, reading it in
+    the block raises ``error`` in the same way.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     try:
@@ -46,14 +38,15 @@ def open_text(path: str | Path, error: type[ValueError] = ValueError) -> Lines:
     except UnicodeDecodeError:
         _raise_utf8_fault(path, error)
 
-    def lines():
+    @contextmanager
+    def opened():
         with open(path, encoding="utf-8", newline=None) as fh:
             try:
-                yield from fh
+                yield fh
             except UnicodeDecodeError:
                 _raise_utf8_fault(path, error)
 
-    return Lines(lines())
+    return opened()
 
 
 def _raise_utf8_fault(path: str | Path, error: type[ValueError]) -> None:
@@ -88,13 +81,8 @@ def _raise_utf8_fault(path: str | Path, error: type[ValueError]) -> None:
             offset += len(chunk)
 
 
-def read_tsv(path: str | Path, error: type[ValueError]) -> Lines:
-    """``(lineno, fields)`` for each non-blank line of ``path``, split at tabs, as :func:`open_text` gives lines."""
-
-    def rows():
-        with open_text(path, error) as lines:
-            for lineno, line in enumerate(lines, start=1):
-                if not line.isspace():
-                    yield lineno, line.rstrip("\n").split("\t")
-
-    return Lines(rows())
+@contextmanager
+def read_tsv(path: str | Path, error: type[ValueError]) -> Iterator[Iterator[tuple[int, list[str]]]]:
+    """``with`` gives ``(lineno, fields)`` for each non-blank line of ``path``, split at tabs; see :func:`open_text`."""
+    with open_text(path, error) as lines:
+        yield ((n, line.rstrip("\n").split("\t")) for n, line in enumerate(lines, 1) if not line.isspace())

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from analogykit import reports
 from analogykit.cli import _read_candidate_terms, build_parser, main
 from analogykit.datagen import GenerationConfig, load_allowlist, load_lexicon
 from analogykit.dataset import AnalogyRecord, save_dataset
@@ -653,6 +654,28 @@ def test_load_outcomes_csv_lifts_the_field_limit_only_while_it_reads(tmp_path):
     with pytest.raises(ValueError, match=r"outcomes\.csv:3: bad relaxed_hit 'maybe'"):
         load_outcomes_csv(path)
     assert csv.field_size_limit() == limit
+
+
+def test_load_outcomes_csv_names_a_utf8_fault_once(tmp_path, monkeypatch):
+    # The file turns invalid between open_text's check and its lines, in its
+    # last row, past the first 8 KiB the text reader decodes at once: the
+    # error names the fault's own line, not the csv reader's as well.
+    path = tmp_path / "outcomes.csv"
+    header = "status,relation_id,a,c,top_guess,relaxed_hit,average_precision,reciprocal_rank,n_answers_listed,n_answers_scored,reason"
+    path.write_text(header + "\n" + "scored,r,a,c,d,true,1.0,1.0,1,1,\n" * 2000, encoding="utf-8")
+    check = reports.open_text
+
+    def open_then_change(*args):
+        lines = check(*args)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-3] + b"\xff" + blob[-2:])
+        return lines
+
+    monkeypatch.setattr(reports, "open_text", open_then_change)
+    with pytest.raises(ValueError) as caught:
+        load_outcomes_csv(path)
+    start = path.stat().st_size - 3
+    assert str(caught.value) == f"{path}:2001: not valid UTF-8 (invalid start byte: b'\\xff' at byte {start})"
 
 
 # Commas, quotes, spaces and the line boundaries text mode keeps inside a line.

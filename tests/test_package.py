@@ -180,3 +180,37 @@ def test_every_source_reader_is_closed_by_a_with_block():
             and node.func.id in ("open_text", "read_tsv") and id(node) not in entered
         ]
     assert unclosed == []
+
+
+def test_no_source_generator_yields_inside_a_with_block_unless_it_is_a_context_manager():
+    # A generator that yields inside a with holds what the with opened until
+    # it is exhausted, closed or collected; one that is dropped half read
+    # leaves its file open.  A @contextmanager generator is closed by the
+    # with that enters it, so only such a generator may yield there.
+    root = Path(__file__).resolve().parent.parent / "src"
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+    def own_nodes(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, scopes):
+                yield child
+                yield from own_nodes(child)
+
+    def is_contextmanager(decorator):
+        return "contextmanager" in (getattr(decorator, "id", None), getattr(decorator, "attr", None))
+
+    held = []
+    for path in sorted(root.rglob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(is_contextmanager(decorator) for decorator in func.decorator_list):
+                continue
+            held += [
+                f"{path.name}:{node.lineno}: {func.name}"
+                for block in own_nodes(func)
+                if isinstance(block, (ast.With, ast.AsyncWith))
+                for node in own_nodes(block)
+                if isinstance(node, (ast.Yield, ast.YieldFrom))
+            ]
+    assert held == []

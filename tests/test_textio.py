@@ -25,13 +25,15 @@ def test_open_text_breaks_lines_only_at_lf_crlf_and_cr(tmp_path):
     path = tmp_path / "mixed.txt"
     inner = "".join(NON_BREAKING_BOUNDARIES)
     path.write_bytes(f"one\r\ntwo\rthree{inner}three\nfour".encode())
-    assert list(open_text(path)) == ["one\n", "two\n", f"three{inner}three\n", "four"]
+    with open_text(path) as lines:
+        assert list(lines) == ["one\n", "two\n", f"three{inner}three\n", "four"]
 
 
 def test_read_tsv_numbers_text_mode_lines_and_skips_blank_ones(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_bytes("a\tb\r\n\r\n \t \rc\x85d\te\n\nf\n".encode())
-    assert list(read_tsv(path, ValueError)) == [(1, ["a", "b"]), (4, ["c\x85d", "e"]), (6, ["f"])]
+    with read_tsv(path, ValueError) as rows:
+        assert list(rows) == [(1, ["a", "b"]), (4, ["c\x85d", "e"]), (6, ["f"])]
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
@@ -42,13 +44,14 @@ def test_invalid_utf8_names_the_text_mode_line(tmp_path, newline):
         open_text(path, GenerationError)
 
 
-def test_a_dropped_half_read_stream_closes_its_file(tmp_path):
+def test_a_with_left_after_one_line_closes_the_file(tmp_path):
     path = tmp_path / "lines.txt"
     path.write_text("a\nb\nc\n", encoding="utf-8")
-    lines = open_text(path)
-    assert next(lines) == "a\n"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        with open_text(path) as lines:
+            assert next(lines) == "a\n"
+        assert lines.closed
         del lines
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
@@ -99,10 +102,11 @@ def test_a_reader_stopped_partway_closes_its_file(tmp_path, monkeypatch, name):
 def test_a_file_turned_invalid_after_the_check_names_its_line(tmp_path):
     path = tmp_path / "changed.txt"
     path.write_bytes(b"a\nb\n")
-    lines = open_text(path, GenerationError)
+    checked = open_text(path, GenerationError)
     path.write_bytes(b"a\nb\n\xffc\n")
     with pytest.raises(GenerationError, match=r"changed\.txt:3: not valid UTF-8 \(invalid start byte"):
-        list(lines)
+        with checked as lines:
+            list(lines)
 
 
 def test_a_file_valid_again_when_the_fault_is_named_was_changed_while_read(tmp_path, monkeypatch):
@@ -110,7 +114,7 @@ def test_a_file_valid_again_when_the_fault_is_named_was_changed_while_read(tmp_p
     # fault is looked for, so there is no line to name.
     path = tmp_path / "changed.txt"
     path.write_bytes(b"a\nb\n")
-    lines = open_text(path, GenerationError)
+    checked = open_text(path, GenerationError)
     path.write_bytes(b"a\nb\n\xffc\n")
     name_fault = textio._raise_utf8_fault
 
@@ -120,7 +124,8 @@ def test_a_file_valid_again_when_the_fault_is_named_was_changed_while_read(tmp_p
 
     monkeypatch.setattr(textio, "_raise_utf8_fault", restore_then_name)
     with pytest.raises(GenerationError) as caught:
-        list(lines)
+        with checked as lines:
+            list(lines)
     assert str(caught.value) == f"{path}: changed while being read"
 
 
@@ -129,7 +134,8 @@ def test_the_check_reads_chunks_across_a_split_character_and_names_a_late_line(t
     first = "x" * (2**20 - 2) + "€\n"
     path = tmp_path / "big.txt"
     path.write_bytes(f"{first}y\n".encode())
-    assert list(open_text(path)) == [first, "y\n"]
+    with open_text(path) as lines:
+        assert list(lines) == [first, "y\n"]
     path.write_bytes(f"{first}y\n".encode() + b"\xfez\n")
     with pytest.raises(ValueError, match=r"big\.txt:3: not valid UTF-8 \(invalid start byte: b'\\xfe' at byte"):
         open_text(path)
