@@ -157,10 +157,10 @@ def load_frequencies(path: str | Path) -> dict[str, int]:
             term, count_str = fields
             if term in freqs:
                 raise GenerationError(f"{path}:{lineno}: duplicate term {term!r}")
-            try:
-                count = int(count_str)
-            except ValueError as exc:
-                raise GenerationError(f"{path}:{lineno}: count {count_str!r} is not an integer") from exc
+            # [+-]?[0-9]+: int() would also read "_", spaces and other scripts' digits.
+            if not (count_str.isascii() and (count_str.isdigit() or count_str[:1] in "+-" and count_str[1:].isdigit())):
+                raise GenerationError(f"{path}:{lineno}: count {count_str!r} is not an integer")
+            count = int(count_str)
             if count < 0:
                 raise GenerationError(f"{path}:{lineno}: negative count for {term!r}")
             freqs[term] = count

@@ -1,52 +1,39 @@
 """Text input files: checked UTF-8, one line-break rule, errors naming file and line.
 
-Every text input is read through :func:`open_text`.  It checks the whole
-file's UTF-8 first, a chunk at a time; its ``with`` block then iterates the
-file itself, so a read holds one chunk of the file, never all of it.  Naming
-the line of a bad byte reads the file again, also a chunk at a time.  Lines
-end at ``\\n``, ``\\r\\n`` or ``\\r``, as in a file opened in text mode; the
-other Unicode line boundaries (``\\x0b \\x0c \\x1c \\x1d \\x1e \\x85 \\u2028
-\\u2029``) stay inside their line.
+Every text input is read through :func:`open_text`, whose ``with`` block
+iterates the file itself: the text-mode read is the only UTF-8 check, and
+it holds one block of the file, never all of it.  Naming the line of a bad
+byte reads the file again, a chunk at a time.  Lines end at ``\\n``,
+``\\r\\n`` or ``\\r``, as in a file opened in text mode; the other Unicode
+line boundaries (``\\x0b \\x0c \\x1c \\x1d \\x1e \\x85 \\u2028 \\u2029``)
+stay inside their line.
 """
 
 from __future__ import annotations
 
 import codecs
 from collections.abc import Iterator
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
 
 _CHUNK_BYTES = 2**20
 
 
-def open_text(path: str | Path, error: type[ValueError] = ValueError) -> AbstractContextManager[TextIO]:
-    """Check ``path`` as UTF-8, then return a context manager whose ``with`` gives the file open in text mode.
+@contextmanager
+def open_text(path: str | Path, error: type[ValueError] = ValueError) -> Iterator[TextIO]:
+    """``with`` gives ``path`` open as UTF-8 in text mode; each line ends in ``\\n`` (the last may not).
 
-    Raises ``error`` naming file and line, before any line is read, when a
-    byte is not valid UTF-8.  The file is opened when the ``with`` block is
-    entered and closed when it is left; each line ends in ``\\n`` (the last
-    may not).  Should the file turn invalid after the check, reading it in
-    the block raises ``error`` in the same way.
+    The file is opened when the ``with`` block is entered and closed when it
+    is left.  Nothing is read before the block reads: a byte that is not
+    valid UTF-8 raises ``error``, naming file and line, when the read
+    decodes the block of the file that holds it.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(_CHUNK_BYTES), b""):
-                decoder.decode(chunk)
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError:
-        _raise_utf8_fault(path, error)
-
-    @contextmanager
-    def opened():
-        with open(path, encoding="utf-8", newline=None) as fh:
-            try:
-                yield fh
-            except UnicodeDecodeError:
-                _raise_utf8_fault(path, error)
-
-    return opened()
+    with open(path, encoding="utf-8", newline=None) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            _raise_utf8_fault(path, error)
 
 
 def _raise_utf8_fault(path: str | Path, error: type[ValueError]) -> None:

@@ -560,6 +560,24 @@ def test_load_frequencies_rejects_a_non_integer_count(tmp_path):
         load_frequencies(path)
 
 
+@pytest.mark.parametrize(
+    "count", ["1_000", "\uff11\uff12", "\u0663", " 30", "+-5"],
+    ids=["underscore", "full-width", "arabic-indic", "space", "two-signs"],
+)
+def test_load_frequencies_count_grammar_rejects_what_only_int_reads(tmp_path, count):
+    # int() reads the first four (1000, 12, 3, 30); a count is [+-]?[0-9]+.
+    path = tmp_path / "freq.tsv"
+    path.write_text(f"term\t5\nother\t{count}\n", encoding="utf-8")
+    with pytest.raises(GenerationError, match=rf"freq\.tsv:2: count {re.escape(repr(count))} is not an integer"):
+        load_frequencies(path)
+
+
+def test_load_frequencies_count_grammar_accepts_signs_and_leading_zeros(tmp_path):
+    path = tmp_path / "freq.tsv"
+    path.write_text("a\t+7\nb\t-0\nc\t007\n", encoding="utf-8")
+    assert load_frequencies(path) == {"a": 7, "b": 0, "c": 7}
+
+
 def test_load_allowlist_skips_blanks(tmp_path):
     path = tmp_path / "allow.txt"
     path.write_text("R1\n\nR2\n")

@@ -10,15 +10,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from analogykit import datagen, embeddings, reports, textio
-from analogykit.datagen import GenerationError, load_frequencies, load_lexicon, load_triples
-from analogykit.dataset import load_dataset
+from analogykit import reports, textio
+from analogykit.cli import _read_candidate_terms
+from analogykit.datagen import GenerationError, load_allowlist, load_frequencies, load_lexicon, load_triples
+from analogykit.dataset import AnalogyFormatError, load_dataset
 from analogykit.embeddings import load_embeddings
 from analogykit.reports import load_outcomes_csv
 from analogykit.textio import open_text, read_tsv
 
 # The Unicode line boundaries other than \n, \r\n and \r.
 NON_BREAKING_BOUNDARIES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def read_through(path, *args) -> None:
+    """Read every line of ``path`` through :func:`open_text`, holding none of them."""
+    with open_text(path, *args) as lines:
+        for _ in lines:
+            pass
 
 
 def test_open_text_breaks_lines_only_at_lf_crlf_and_cr(tmp_path):
@@ -41,7 +49,7 @@ def test_invalid_utf8_names_the_text_mode_line(tmp_path, newline):
     path = tmp_path / "bad.txt"
     path.write_bytes(newline.join([b"a", "b\x85c".encode(), b"\xffd"]))
     with pytest.raises(GenerationError, match=r"bad\.txt:3: not valid UTF-8 \(invalid start byte"):
-        open_text(path, GenerationError)
+        read_through(path, GenerationError)
 
 
 def test_a_with_left_after_one_line_closes_the_file(tmp_path):
@@ -69,34 +77,78 @@ STOPPED_READERS = {
 
 
 @pytest.mark.parametrize("name", list(STOPPED_READERS))
-def test_a_reader_stopped_partway_closes_its_file(tmp_path, monkeypatch, name):
-    # A young collection between open_text's check and the first line can
-    # promote the lines' generator past the file it then opens.  Left to the
-    # collector in a cycle with the error's traceback, the file would be
-    # finalized first and warn that it was never closed: each reader must
-    # close its lines itself when it stops.
+def test_a_reader_stopped_partway_closes_its_file(tmp_path, name):
+    # Each loader stops partway, on a bad record, and the error's traceback
+    # keeps the loader's frame in a cycle.  Left to the collector, a file
+    # still open would be finalized with that cycle and warn that it was
+    # never closed: each loader must close its file itself when it stops.
     load, text = STOPPED_READERS[name]
     path = tmp_path / f"stopped.{name}"
     path.write_text(text, encoding="utf-8")
-    check = textio.open_text
-
-    def open_then_collect(*args):
-        lines = check(*args)
-        gc.collect(0)
-        return lines
 
     def stop_and_keep_the_traceback():
         # ``stopped`` holds the error, whose traceback holds this frame: cyclic garbage on return.
         with pytest.raises(ValueError, match=rf"stopped\.{name}:") as stopped:  # noqa: F841
             load(path)
 
-    for module in (textio, reports, embeddings, datagen):
-        monkeypatch.setattr(module, "open_text", open_then_collect)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         stop_and_keep_the_traceback()
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+# Each text reader, and a valid input it loads.
+VALID_READERS = {
+    "embeddings": (load_embeddings, "2 2\na 1 2\nb 3 4\n"),
+    "candidates": (_read_candidate_terms, "a\nb c\n"),
+    "dataset": (load_dataset, "r\ta\tb\tc\td\n"),
+    "triples": (load_triples, "s\tr\to\n"),
+    "lexicon": (load_lexicon, "c\tterm\n"),
+    "frequencies": (load_frequencies, "term\t3\n"),
+    "allowlist": (load_allowlist, "term\n"),
+    "outcomes": (load_outcomes_csv, ",".join(reports._OUTCOME_HEADER) + "\nscored,r,a,c,d,true,1.0,1.0,1,1,\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(VALID_READERS))
+def test_a_reader_opens_its_valid_input_once(tmp_path, monkeypatch, name):
+    # The text-mode read is the only pass over the file: no check reads it first.
+    load, text = VALID_READERS[name]
+    path = tmp_path / f"valid.{name}"
+    path.write_text(text, encoding="utf-8")
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(textio, "open", counting_open, raising=False)
+    load(str(path))
+    assert opened == [str(path)]
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (
+            [b"r\ta\tb"] + [b"r\ta\tb\tc\td"] * 2000 + [b"\xff"],
+            r"records\.tsv:2: expected 5 tab-separated fields, found 3",
+        ),
+        (
+            [b"r\ta\tb\xff"] + [b"r\ta\tb\tc\td"] * 2000 + [b"r\ta\tb"],
+            r"records\.tsv:2: not valid UTF-8 \(invalid start byte: b'\\xff' at byte 15\)",
+        ),
+    ],
+    ids=["bad-record-first", "bad-byte-first"],
+)
+def test_a_reader_names_the_first_fault_it_meets(tmp_path, lines, message):
+    # A bad byte is named when the read decodes the block that holds it, so a
+    # reader that stops at an earlier bad record, 20 KB before it, names that record.
+    path = tmp_path / "records.tsv"
+    path.write_bytes(b"\n".join([b"r\ta\tb\tc\td", *lines, b""]))
+    with pytest.raises(AnalogyFormatError, match=message):
+        load_dataset(path)
 
 
 def test_a_file_turned_invalid_after_the_check_names_its_line(tmp_path):
@@ -138,7 +190,7 @@ def test_the_check_reads_chunks_across_a_split_character_and_names_a_late_line(t
         assert list(lines) == [first, "y\n"]
     path.write_bytes(f"{first}y\n".encode() + b"\xfez\n")
     with pytest.raises(ValueError, match=r"big\.txt:3: not valid UTF-8 \(invalid start byte: b'\\xfe' at byte"):
-        open_text(path)
+        read_through(path)
 
 
 def whole_file_fault(path, data: bytes) -> str:
@@ -157,7 +209,7 @@ def whole_file_fault(path, data: bytes) -> str:
 def assert_names_the_fault(path, data: bytes) -> None:
     path.write_bytes(data)
     with pytest.raises(ValueError) as caught:
-        open_text(path)
+        read_through(path)
     assert str(caught.value) == whole_file_fault(path, data)
 
 
@@ -213,7 +265,7 @@ def test_naming_a_utf8_fault_holds_one_chunk(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as caught:
-            open_text(path)
+            read_through(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
