@@ -160,8 +160,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     result = generate(triples, lexicon, freqs, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_dataset(list(result.id_records), out_dir / "dataset_ids.tsv")
-    save_dataset(list(result.term_records), out_dir / "dataset_terms.tsv")
+    save_dataset(result.id_records, out_dir / "dataset_ids.tsv")
+    save_dataset(result.term_records, out_dir / "dataset_terms.tsv")
     write_statistics(result.stats, out_dir / "statistics.tsv")
     write_review(result.review, out_dir / "review.tsv")
     print(

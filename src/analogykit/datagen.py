@@ -11,8 +11,7 @@ dataset with each concept replaced by its representative term.  Each
 relation's statistics are read off its rendered bundles, not counted over
 its records.  Terms are checked where they enter: triple fields as they
 load, a lexicon term when it is chosen as a representative, and each
-relation's records once, in the first row :func:`.dataset.combine_pairs`
-builds.
+relation's records once, in the first row :func:`combine_pairs` builds.
 
 ``generate`` pauses cyclic garbage collection while it runs.  It builds
 about ``n * (n - 1)`` records per relation, and each is a container that
@@ -40,9 +39,10 @@ import gc
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, permutations
 from pathlib import Path
 
-from .dataset import AnalogyRecord, _check_relation_id, _check_term, combine_pairs
+from .dataset import AnalogyRecord, _check_relation_id, _check_term, _trusted_record
 from .textio import open_text, read_tsv
 
 
@@ -254,6 +254,37 @@ def sample_and_bundle(
     return [(s, tuple(subject_objects[s])) for s in chosen]
 
 
+def combine_pairs(
+    relation_id: str, pairs: list[tuple[str, tuple[str, ...]]]
+) -> list[AnalogyRecord]:
+    """Exhaustively combine (subject, objects) pairs of one relation.
+
+    Every ordered pair ``(i, j)`` with ``i != j`` yields one record
+    ``subject_i : objects_i :: subject_j : objects_j``, so ``n`` input
+    pairs produce exactly ``n * (n - 1)`` records, in ``i``-major order.
+
+    Only row 0, the first ``n - 1`` records, goes through the checked
+    constructor.  Between them they check the relation id and every pair's
+    subject and objects, under the rules ``__post_init__`` applies to the
+    fields each later record puts them in, and distinct subjects give
+    ``a != c``.  So every later record would pass, and any bad term raises
+    in row 0 with the message an all-checked build raises first.  The later
+    records are built unchecked from row 0's fields.
+    """
+    if len(pairs) < 2:
+        raise ValueError(f"relation {relation_id!r}: need at least 2 pairs, got {len(pairs)}")
+    subjects = [subject for subject, _ in pairs]
+    if len(set(subjects)) != len(subjects):
+        raise ValueError(f"relation {relation_id!r}: duplicate subjects in pair list")
+    a, b_list = pairs[0]
+    row0 = [AnalogyRecord(relation_id, a, b_list, c, d_list) for c, d_list in pairs[1:]]
+    checked = [(row0[0].a, row0[0].b_list)] + [(record.c, record.d_list) for record in row0]
+    later = islice(permutations(checked, 2), len(checked) - 1, None)
+    return row0 + [
+        _trusted_record(relation_id, a, b_list, c, d_list) for (a, b_list), (c, d_list) in later
+    ]
+
+
 def generate(
     triples: list[Triple],
     lexicon: dict[str, list[str]],
@@ -272,86 +303,77 @@ def generate(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _generate(triples, lexicon, freqs, config)
+        # Only the concepts the triples name are filtered: the lexicon may list many more.
+        named = {c: lexicon[c] for t in triples for c in (t.subject, t.object) if c in lexicon}
+        surviving = frequent_concepts(named, freqs, config.min_term_freq)
+        relation_pairs: dict[str, list[tuple[str, str]]] = {}
+        for t in triples:
+            if t.subject in surviving and t.object in surviving:
+                relation_pairs.setdefault(t.relation, []).append((t.subject, t.object))
+        if not relation_pairs:
+            raise GenerationError("no triples survive the frequency filter")
+
+        selected, review = select_relations(relation_pairs, config)
+        if not selected:
+            raise GenerationError("no relations selected")
+
+        @functools.cache
+        def rep(concept: str) -> str:
+            term = choose_representative_term(concept, surviving, freqs)
+            try:
+                _check_term("lexicon term", term)
+            except ValueError as exc:
+                raise GenerationError(f"concept {concept!r}: {exc}") from None
+            return term
+
+        review = [
+            ReviewRow(
+                row.relation_id,
+                row.n_one_to_one,
+                tuple((rep(s), rep(o)) for s, o in row.sample_pairs),
+            )
+            for row in review
+        ]
+
+        id_records: list[AnalogyRecord] = []
+        term_records: list[AnalogyRecord] = []
+        stats: list[RelationStats] = []
+        for relation_id in selected:
+            bundles = sample_and_bundle(relation_id, relation_pairs[relation_id], config)
+            term_bundles = []
+            subject_of: dict[str, str] = {}
+            for s, objects in bundles:
+                term = rep(s)
+                if (other := subject_of.setdefault(term, s)) != s:
+                    raise GenerationError(
+                        f"relation {relation_id!r}: concepts {min(other, s)!r} and {max(other, s)!r} "
+                        f"share the representative term {term!r}"
+                    )
+                term_bundles.append((term, tuple(dict.fromkeys(rep(o) for o in objects))))
+            id_records.extend(combine_pairs(relation_id, bundles))
+            term_records.extend(combine_pairs(relation_id, term_bundles))
+            # Each bundle's objects are the answer list of the n - 1 records that ask about it.
+            n = len(term_bundles)
+            stats.append(
+                RelationStats(
+                    relation_id=relation_id,
+                    n_bundles=n,
+                    n_analogies=n * (n - 1),
+                    n_multi_answer=(n - 1) * sum(1 for _, objects in term_bundles if len(objects) > 1),
+                    ambiguity=sum(len(objects) for _, objects in term_bundles) / n,
+                )
+            )
+
+        return GenerationResult(
+            selected_relations=tuple(selected),
+            id_records=tuple(id_records),
+            term_records=tuple(term_records),
+            stats=tuple(stats),
+            review=tuple(review),
+        )
     finally:
         if enabled:
             gc.enable()
-
-
-def _generate(
-    triples: list[Triple],
-    lexicon: dict[str, list[str]],
-    freqs: dict[str, int],
-    config: GenerationConfig,
-) -> GenerationResult:
-    # Only the concepts the triples name are filtered: the lexicon may list many more.
-    named = {c: lexicon[c] for t in triples for c in (t.subject, t.object) if c in lexicon}
-    surviving = frequent_concepts(named, freqs, config.min_term_freq)
-    relation_pairs: dict[str, list[tuple[str, str]]] = {}
-    for t in triples:
-        if t.subject in surviving and t.object in surviving:
-            relation_pairs.setdefault(t.relation, []).append((t.subject, t.object))
-    if not relation_pairs:
-        raise GenerationError("no triples survive the frequency filter")
-
-    selected, review = select_relations(relation_pairs, config)
-    if not selected:
-        raise GenerationError("no relations selected")
-
-    @functools.cache
-    def rep(concept: str) -> str:
-        term = choose_representative_term(concept, surviving, freqs)
-        try:
-            _check_term("lexicon term", term)
-        except ValueError as exc:
-            raise GenerationError(f"concept {concept!r}: {exc}") from None
-        return term
-
-    review = [
-        ReviewRow(
-            row.relation_id,
-            row.n_one_to_one,
-            tuple((rep(s), rep(o)) for s, o in row.sample_pairs),
-        )
-        for row in review
-    ]
-
-    id_records: list[AnalogyRecord] = []
-    term_records: list[AnalogyRecord] = []
-    stats: list[RelationStats] = []
-    for relation_id in selected:
-        bundles = sample_and_bundle(relation_id, relation_pairs[relation_id], config)
-        term_bundles = []
-        subject_of: dict[str, str] = {}
-        for s, objects in bundles:
-            term = rep(s)
-            if (other := subject_of.setdefault(term, s)) != s:
-                raise GenerationError(
-                    f"relation {relation_id!r}: concepts {min(other, s)!r} and {max(other, s)!r} "
-                    f"share the representative term {term!r}"
-                )
-            term_bundles.append((term, tuple(dict.fromkeys(rep(o) for o in objects))))
-        id_records.extend(combine_pairs(relation_id, bundles))
-        term_records.extend(combine_pairs(relation_id, term_bundles))
-        # Each bundle's objects are the answer list of the n - 1 records that ask about it.
-        n = len(term_bundles)
-        stats.append(
-            RelationStats(
-                relation_id=relation_id,
-                n_bundles=n,
-                n_analogies=n * (n - 1),
-                n_multi_answer=(n - 1) * sum(1 for _, objects in term_bundles if len(objects) > 1),
-                ambiguity=sum(len(objects) for _, objects in term_bundles) / n,
-            )
-        )
-
-    return GenerationResult(
-        selected_relations=tuple(selected),
-        id_records=tuple(id_records),
-        term_records=tuple(term_records),
-        stats=tuple(stats),
-        review=tuple(review),
-    )
 
 
 def write_statistics(stats: tuple[RelationStats, ...], path: str | Path) -> None:

@@ -17,14 +17,14 @@ terms hold no tab, ``|``, ``\\n`` or ``\\r`` and no relation id starts with
 ``#``: every record :func:`save_dataset` writes loads back unchanged.
 
 The ``AnalogyRecord`` constructor and :func:`load_dataset` check every
-record.  :func:`combine_pairs` checks only its first row, which holds every
-term the later records reuse, and builds the later records unchecked.
+record.  ``_trusted_record`` builds one without the checks, for values a
+caller has already checked: :func:`.datagen.combine_pairs` decides when.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import islice, permutations
 from pathlib import Path
 
 from .textio import read_tsv
@@ -116,7 +116,7 @@ def load_dataset(path: str | Path) -> list[AnalogyRecord]:
     return records
 
 
-def save_dataset(records: list[AnalogyRecord], path: str | Path) -> None:
+def save_dataset(records: Iterable[AnalogyRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
             fh.write(
@@ -150,34 +150,3 @@ def _trusted_record(
     _SET_C(record, c)
     _SET_D_LIST(record, d_list)
     return record
-
-
-def combine_pairs(
-    relation_id: str, pairs: list[tuple[str, tuple[str, ...]]]
-) -> list[AnalogyRecord]:
-    """Exhaustively combine (subject, objects) pairs of one relation.
-
-    Every ordered pair ``(i, j)`` with ``i != j`` yields one record
-    ``subject_i : objects_i :: subject_j : objects_j``, so ``n`` input
-    pairs produce exactly ``n * (n - 1)`` records, in ``i``-major order.
-
-    Only row 0, the first ``n - 1`` records, goes through the checked
-    constructor.  Between them they check the relation id and every pair's
-    subject and objects, under the rules ``__post_init__`` applies to the
-    fields each later record puts them in, and distinct subjects give
-    ``a != c``.  So every later record would pass, and any bad term raises
-    in row 0 with the message an all-checked build raises first.  The later
-    records are built unchecked from row 0's fields.
-    """
-    if len(pairs) < 2:
-        raise ValueError(f"relation {relation_id!r}: need at least 2 pairs, got {len(pairs)}")
-    subjects = [subject for subject, _ in pairs]
-    if len(set(subjects)) != len(subjects):
-        raise ValueError(f"relation {relation_id!r}: duplicate subjects in pair list")
-    a, b_list = pairs[0]
-    row0 = [AnalogyRecord(relation_id, a, b_list, c, d_list) for c, d_list in pairs[1:]]
-    checked = [(row0[0].a, row0[0].b_list)] + [(record.c, record.d_list) for record in row0]
-    later = islice(permutations(checked, 2), len(checked) - 1, None)
-    return row0 + [
-        _trusted_record(relation_id, a, b_list, c, d_list) for (a, b_list), (c, d_list) in later
-    ]

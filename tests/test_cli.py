@@ -641,6 +641,14 @@ def test_load_outcomes_csv_names_the_physical_line(tmp_path):
     assert [o.relaxed_hit for o in outcomes] == [True]
 
 
+def test_load_outcomes_csv_names_file_and_line_of_an_unknown_status(tmp_path):
+    path = tmp_path / "outcomes.csv"
+    header = "status,relation_id,a,c,top_guess,relaxed_hit,average_precision,reciprocal_rank,n_answers_listed,n_answers_scored,reason"
+    path.write_text(f"{header}\nscored,r,a,c,d,true,1.0,1.0,1,1,\npending,r,a,c,,,,,,,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"outcomes\.csv:3: unknown status 'pending'"):
+        load_outcomes_csv(path)
+
+
 def test_load_outcomes_csv_lifts_the_field_limit_only_while_it_reads(tmp_path):
     path = tmp_path / "outcomes.csv"
     header = "status,relation_id,a,c,top_guess,relaxed_hit,average_precision,reciprocal_rank,n_answers_listed,n_answers_scored,reason"

@@ -471,7 +471,7 @@ def test_generate_runs_no_collection(gc_state, monkeypatch):
     # 2 x 600 records and their tuples are far past the collector's first threshold.
     triples, lexicon, freqs = synthetic_inputs(2, 25)
     config = GenerationConfig(min_one_to_one=25, pairs_per_relation=25)
-    body = datagen._generate
+    body = datagen.combine_pairs
     inside = False
     phases = []
 
@@ -484,11 +484,11 @@ def test_generate_runs_no_collection(gc_state, monkeypatch):
             inside = False
 
     def spy(phase, info):
-        # Only the body counts: once the caller's state is back, a deferred collection may start.
+        # Only record building counts: once generate restores the caller's state, a collection may start.
         if inside:
             phases.append(phase)
 
-    monkeypatch.setattr(datagen, "_generate", watched)
+    monkeypatch.setattr(datagen, "combine_pairs", watched)
     gc.enable()
     gc.callbacks.append(spy)
     try:

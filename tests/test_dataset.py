@@ -10,10 +10,10 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from analogykit.datagen import combine_pairs
 from analogykit.dataset import (
     AnalogyFormatError,
     AnalogyRecord,
-    combine_pairs,
     load_dataset,
     save_dataset,
 )

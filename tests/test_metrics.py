@@ -75,6 +75,11 @@ def test_rr_with_no_positions_is_zero():
     assert reciprocal_rank([]) == 0.0
 
 
+def test_rr_rejects_zero_position():
+    with pytest.raises(ValueError, match="1-based"):
+        reciprocal_rank([0])
+
+
 def test_ap_equals_rr_for_single_answers():
     rng = np.random.default_rng(31)
     for _ in range(200):
