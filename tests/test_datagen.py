@@ -471,24 +471,27 @@ def test_generate_runs_no_collection(gc_state, monkeypatch):
     # 2 x 600 records and their tuples are far past the collector's first threshold.
     triples, lexicon, freqs = synthetic_inputs(2, 25)
     config = GenerationConfig(min_one_to_one=25, pairs_per_relation=25)
-    body = datagen.combine_pairs
     inside = False
     phases = []
 
-    def watched(*args):
-        nonlocal inside
-        inside = True
-        try:
-            return body(*args)
-        finally:
-            inside = False
+    def watch(name, opens):
+        # The pipeline's first call opens the window and building its result closes it.
+        body = getattr(datagen, name)
+
+        def watched(*args, **kwargs):
+            nonlocal inside
+            inside = opens
+            return body(*args, **kwargs)
+
+        monkeypatch.setattr(datagen, name, watched)
 
     def spy(phase, info):
-        # Only record building counts: once generate restores the caller's state, a collection may start.
+        # Only the pipeline counts: once generate restores the caller's state, a collection may start.
         if inside:
             phases.append(phase)
 
-    monkeypatch.setattr(datagen, "combine_pairs", watched)
+    watch("frequent_concepts", True)
+    watch("GenerationResult", False)
     gc.enable()
     gc.callbacks.append(spy)
     try:
