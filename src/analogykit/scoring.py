@@ -218,14 +218,15 @@ def rank_answers(
     best-ranked candidate outside ``excluded``.  Both follow the order of
     :func:`rank_candidates` without sorting: candidate ``i`` sits at
     ``#(s > s_i) + #(s == s_i, j < i) + 1``, and NaN scores come after all
-    others.  Excluding every candidate is an error.
+    others.  A NaN equals nothing, so only a NaN answer builds a NaN mask, and the
+    top guess is the first kept score equal to the kept scores' NaN-skipping
+    ``fmax``, or the first kept one if all are NaN.  Excluding every candidate is an error.
     """
-    nan = np.isnan(scores)
-    nan = nan if nan.any() else None  # without NaN scores, no NaN masks
     positions = []
     for i in answers:
         s_i = scores[i]
-        if nan is not None and nan[i]:
+        if np.isnan(s_i):
+            nan = np.isnan(scores)
             ahead = scores.shape[0] - np.count_nonzero(nan) + np.count_nonzero(nan[:i])
         else:
             ahead = np.count_nonzero(scores > s_i) + np.count_nonzero(scores[:i] == s_i)
@@ -233,10 +234,9 @@ def rank_answers(
 
     kept = np.ones(scores.shape[0], dtype=bool)
     kept[list(excluded)] = False
-    ordered = kept if nan is None else kept & ~nan
-    if ordered.any():
-        best = np.max(scores, where=ordered, initial=-np.inf)
-        top = int(np.argmax(ordered & (scores == best)))
+    hits = kept & (scores == np.fmax.reduce(scores, where=kept, initial=-np.inf))
+    if hits.any():
+        top = int(np.argmax(hits))
     elif kept.any():
         top = int(np.argmax(kept))
     else:

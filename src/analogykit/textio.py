@@ -3,10 +3,10 @@
 Every text input is read through :func:`open_text`, whose ``with`` block
 iterates the file itself: the text-mode read is the only UTF-8 check, and
 it holds one block of the file, never all of it.  Naming the line of a bad
-byte reads the file again, a chunk at a time.  Lines end at ``\\n``,
-``\\r\\n`` or ``\\r``, as in a file opened in text mode; the other Unicode
-line boundaries (``\\x0b \\x0c \\x1c \\x1d \\x1e \\x85 \\u2028 \\u2029``)
-stay inside their line.
+byte reads the file again, a chunk at a time.  A leading byte-order mark is
+dropped.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in a file opened in
+text mode; the other Unicode line boundaries
+(``\\x0b \\x0c \\x1c \\x1d \\x1e \\x85 \\u2028 \\u2029``) stay inside their line.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ def open_text(path: str | Path, error: type[ValueError] = ValueError) -> Iterato
     The file is opened when the ``with`` block is entered and closed when it
     is left.  Nothing is read before the block reads: a byte that is not
     valid UTF-8 raises ``error``, naming file and line, when the read
-    decodes the block of the file that holds it.
+    decodes the block of the file that holds it.  A leading byte-order mark is dropped.
     """
-    with open(path, encoding="utf-8", newline=None) as fh:
+    with open(path, encoding="utf-8-sig", newline=None) as fh:
         try:
             yield fh
         except UnicodeDecodeError:

@@ -235,3 +235,22 @@ def test_only_datagen_generate_uses_the_collector():
             ):
                 users.add(f"{path.stem}.{scope.get(id(node), '<module>')}")
     assert users == {"datagen.generate"}
+
+
+def test_only_textio_opens_a_file_to_read_text():
+    # The UTF-8 check, the byte-order mark and the line-break rule live in
+    # textio.open_text, so no other src/ module opens a file for a text read:
+    # an open with no mode, or a mode that reads ("r") without "b".
+    root = Path(__file__).resolve().parent.parent / "src"
+    readers = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "textio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+                continue
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            mode = getattr(modes[0], "value", None) if modes else "r"  # a mode that is no literal fails
+            if not isinstance(mode, str) or ("r" in mode and "b" not in mode):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []

@@ -398,6 +398,8 @@ _SPECIAL_SCORES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, np.inf, -np.inf, n
     )
 )
 @example(([0.5, np.nan, np.nan, -np.inf], [2, 1, 3], {0, 3}))  # only NaNs left unexcluded
+@example(([np.nan, -np.inf], [0, 1], set()))  # a kept -inf after a kept NaN is the top guess
+@example(([np.nan, 0.5, np.nan, np.nan, -1.0, np.nan], [3], {1}))  # a NaN answer between NaN scores
 def test_rank_answers_matches_stable_argsort_oracle(case):
     values, answers, excluded = case
     scores = np.array(values, dtype=np.float64)

@@ -128,6 +128,22 @@ def test_a_reader_opens_its_valid_input_once(tmp_path, monkeypatch, name):
     assert opened == [str(path)]
 
 
+@pytest.mark.parametrize("name", list(VALID_READERS))
+def test_a_reader_drops_a_leading_byte_order_mark(tmp_path, name):
+    # Editors on some systems start a UTF-8 file with U+FEFF; it must not join the first field.
+    load, text = VALID_READERS[name]
+    plain, marked = tmp_path / f"plain.{name}", tmp_path / f"marked.{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+
+    def contents(path):
+        loaded = load(str(path))
+        return (loaded.tokens, loaded.vectors.tolist()) if name == "embeddings" else loaded
+
+    assert contents(marked) == contents(plain)
+
+
 @pytest.mark.parametrize(
     "lines, message",
     [
