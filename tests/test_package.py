@@ -250,7 +250,7 @@ def test_only_textio_opens_a_file_to_read_text():
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
                 continue
             modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
-            mode = getattr(modes[0], "value", None) if modes else "r"  # a mode that is no literal fails
+            mode = getattr(modes[0], "value", None) if modes else "r"  # a mode that is not a literal fails
             if not isinstance(mode, str) or ("r" in mode and "b" not in mode):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
